@@ -30,7 +30,7 @@ import sys
 from . import __version__
 from .cache import cache_key, lookup, store
 from .errors import AciringError
-from .fields import GF, QQ, default_characteristic
+from .fields import QQ, default_characteristic, field_for_char, is_prime
 from .formulas import betti_table_formula, ell, gamma_sequence, hilbert_formula, rho_sequence
 from .gorenstein import (
     G_from_orbit,
@@ -44,7 +44,7 @@ from .groebner import buchberger
 from .poly import _format_mono, format_poly
 from .quotient import hilbert_function
 from .resolution import BettiTable, koszul_betti, named_quotient
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, run_suite, suite_field_ns
 
 __all__ = ["main", "build_parser"]
 
@@ -129,30 +129,15 @@ def _parse_ns(args, parser) -> list[int] | None:
     return None
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _resolve_char(args, ns, parser) -> int:
     if args.char is None:
         return default_characteristic(max(ns))
     c = args.char
     if c == 0:
         return 0
-    if not _is_prime(c) or c <= max(ns):
+    if not is_prime(c) or c <= max(ns, default=0):
         parser.error("--char must be 0 or a prime larger than every requested n")
     return c
-
-
-def _field_for(characteristic: int):
-    return QQ if characteristic == 0 else GF(characteristic)
 
 
 def _emit(text: str, args) -> None:
@@ -185,7 +170,7 @@ def _cached(args, key, compute):
 
 
 def _hilbert_by_quotient(ring: str, n: int, characteristic: int, degree_cap: int | None) -> list[int]:
-    q = named_quotient(ring, n, _field_for(characteristic), degree_cap=degree_cap)
+    q = named_quotient(ring, n, field_for_char(characteristic), degree_cap=degree_cap)
     return hilbert_function(q)
 
 
@@ -272,7 +257,7 @@ def _betti_entries(ring: str, n: int, characteristic: int, method: str, degree_c
         if degree_cap is not None:
             entries = {(i, j): v for (i, j), v in entries.items() if j <= degree_cap}
         return entries
-    module = named_quotient(ring, n, _field_for(characteristic))
+    module = named_quotient(ring, n, field_for_char(characteristic))
     return koszul_betti(module, max_j=degree_cap).entries
 
 
@@ -392,7 +377,7 @@ def cmd_sequence(args, parser) -> tuple[str, int]:
 
 
 def _gorenstein_result(n: int, characteristic: int) -> dict:
-    field = _field_for(characteristic)
+    field = field_for_char(characteristic)
     gens = G_from_orbit(n, field)
     gb = buchberger(gens)
     computed = gb.initial_ideal()
@@ -459,8 +444,9 @@ def cmd_verify(args, parser) -> tuple[str, int]:
     ns = _parse_ns(args, parser)
     if args.format == "csv":
         parser.error("verify output is text or json")
-    if args.char is not None and ns:
-        _resolve_char(args, ns, parser)
+    if args.char is not None:
+        # without --n or --n-range, every n the suite would run over the field
+        _resolve_char(args, ns or suite_field_ns(args.suite), parser)
     report = run_suite(args.suite, ns=ns, characteristic=args.char)
     code = 0 if report.passed else 1
     if args.format == "json":

@@ -15,6 +15,11 @@ from .errors import FieldMismatch
 DEFAULT_PRIME = 32003
 
 
+def is_prime(p: int) -> bool:
+    """Trial division; fast for the small primes used here, slow near 2^62."""
+    return p >= 2 and not any(p % q == 0 for q in range(2, min(p, 1 + int(p ** 0.5) + 1)))
+
+
 class Field:
     """The rationals (characteristic 0) or GF(p) for a prime p."""
 
@@ -23,11 +28,8 @@ class Field:
     def __init__(self, characteristic: int = 0):
         if characteristic < 0:
             raise ValueError("characteristic must be 0 or a prime")
-        if characteristic:
-            # tiny trial-division check; the primes used here are small
-            p = characteristic
-            if p < 2 or any(p % q == 0 for q in range(2, min(p, 1 + int(p ** 0.5) + 1))):
-                raise ValueError(f"{p} is not prime")
+        if characteristic and not is_prime(characteristic):
+            raise ValueError(f"{characteristic} is not prime")
         self.characteristic = characteristic
 
     # -- basic queries ------------------------------------------------

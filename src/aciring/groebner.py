@@ -97,9 +97,6 @@ class MonomialIdeal:
     def standard_count(self, d: int) -> int:
         return sum(1 for m in monomials_of_degree(self.n, d) if not self.contains(m))
 
-    def generators_of_degree(self, d: int) -> list[Mono]:
-        return [m for m in self.gens if mono_deg(m) == d]
-
     def __eq__(self, other):
         return isinstance(other, MonomialIdeal) and self.n == other.n and self.gens == other.gens
 

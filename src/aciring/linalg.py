@@ -2,9 +2,11 @@
 
 Rational matrices are lists of rows (``Fraction``/``int`` entries); prime
 field matrices are numpy ``int64`` arrays with entries in ``range(p)``.
-Ranks of big matrices go through a sparse singleton-pivot pre-pass and then
-either fraction-free (Bareiss) elimination over the integers or vectorized
-elimination mod p.
+Ranks of big sparse matrices go through a singleton-pivot pre-pass.  Over
+QQ a unit-pivot pass (integer-exact elimination on +-1 pivots) follows and
+fraction-free (Bareiss) elimination takes what is left; over GF(p) the core
+goes to ``gf_rank``, the one dense mod-p rank kernel: blocked elimination
+with delayed reduction and one matrix-product update per panel.
 """
 
 from __future__ import annotations
@@ -20,13 +22,6 @@ from .fields import Field
 # ----------------------------------------------------------------------
 # generic helpers
 # ----------------------------------------------------------------------
-
-
-def zeros(nrows: int, ncols: int, field: Field):
-    if field.is_prime_field:
-        return np.zeros((nrows, ncols), dtype=np.int64)
-    z = field.zero()
-    return [[z] * ncols for _ in range(nrows)]
 
 
 def matmul(A, B, field: Field):
@@ -47,19 +42,6 @@ def matmul(A, B, field: Field):
                 b = Bt[j]
                 if b != 0:
                     Oi[j] += a * b
-    return out
-
-
-def matvec(A, v, field: Field):
-    if field.is_prime_field:
-        return gf_matmul(np.asarray(A), np.asarray(v).reshape(-1, 1), field.characteristic).ravel()
-    out = []
-    for row in A:
-        s = field.zero()
-        for a, x in zip(row, v):
-            if a != 0 and x != 0:
-                s += a * x
-        out.append(s)
     return out
 
 
@@ -414,61 +396,31 @@ def gf_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return C
 
 
+# Columns per panel of gf_rank.  Reduction is delayed inside a panel, so
+# entries grow to at most _PANEL * p^2.
+_PANEL = 120
+
+
 def gf_rank(A: np.ndarray, p: int) -> int:
-    """Rank mod p.  Destroys A."""
+    """Rank mod p.  Destroys A.
+
+    Right-looking blocked elimination along the longer side: each panel of
+    columns is factored with scalar column steps (multipliers stored in place
+    of the zeroed entries, classic LU style), then the trailing block gets one
+    matrix-product update per panel.  Exact while _PANEL * p^2 < 2^63 (p below
+    about 2^28) and while gf_matmul's float64 products are exact (p below
+    about 2^26.5).
+    """
     if A.size == 0:
         return 0
     if A.shape[0] < A.shape[1]:
         A = A.T.copy()
-    if A.shape[1] <= 256:
-        return _gf_rank_plain(A, p)
-    return _gf_rank_blocked(A, p)
-
-
-def _gf_rank_plain(A: np.ndarray, p: int) -> int:
-    """One column at a time.  The bulk update skips the per-step modulo:
-    factors and pivot rows are kept reduced, so intermediate entries stay
-    below steps * p^2 << 2^63.
-    """
-    nrows, ncols = A.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        col = A[r:, c] % p
-        A[r:, c] = col
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        A[r, c:] %= p
-        inv = pow(int(A[r, c]), p - 2, p)
-        if inv != 1:
-            A[r, c:] = (A[r, c:] * inv) % p
-        if r + 1 < nrows:
-            f = A[r + 1:, c]
-            if np.any(f):
-                A[r + 1:, c:] -= f[:, None] * A[r, c:][None, :]
-        r += 1
-    return r
-
-
-def _gf_rank_blocked(A: np.ndarray, p: int, panel: int = 120) -> int:
-    """Right-looking blocked elimination: panels are factored with scalar
-    column steps (multipliers stored in place of the zeroed entries, classic
-    LU style), then the trailing block gets one matrix-product update per
-    panel.  Entry growth stays safe: within a panel at most panel * p^2,
-    far below 2^63, and the matrix products run through gf_matmul's exact
-    float64 path.
-    """
     A %= p
     nrows, ncols = A.shape
     r = 0
     c0 = 0
     while c0 < ncols and r < nrows:
-        c1 = min(c0 + panel, ncols)
+        c1 = min(c0 + _PANEL, ncols)
         r_start = r
         piv_cols: list[int] = []
         invs: list[int] = []
@@ -557,14 +509,6 @@ def gf_kernel(A: np.ndarray, p: int) -> np.ndarray:
         for k, pc in enumerate(pivots):
             K[i, pc] = (-int(R[k, fc])) % p
     return K
-
-
-def gf_reduce_against(C: np.ndarray, R: np.ndarray, pivots, p: int) -> np.ndarray:
-    """Reduce the rows of C against an rref basis R (unit pivots assumed)."""
-    if len(pivots) == 0 or C.size == 0:
-        return C % p
-    coeffs = C[:, list(pivots)] % p
-    return (C - gf_matmul(coeffs, R, p)) % p
 
 
 # ----------------------------------------------------------------------

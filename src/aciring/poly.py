@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, ExponentCapExceeded
@@ -77,28 +76,6 @@ def revlex_compare(a: Mono, b: Mono) -> int:
         if x != y:
             return 1 if x < y else -1
     return 0
-
-
-class GrevlexOrder:
-    """The one monomial order used throughout: graded reverse lexicographic."""
-
-    kind = "grevlex"
-    # x1 > x2 > ... > xn
-    precedence = "descending variable index"
-
-    @staticmethod
-    def key(m: Mono):
-        return revlex_key(m)
-
-    @staticmethod
-    def compare(a: Mono, b: Mono) -> int:
-        return revlex_compare(a, b)
-
-    def __repr__(self):
-        return "grevlex(x1 > x2 > ...)"
-
-
-GREVLEX = GrevlexOrder()
 
 
 def monomials_of_degree(n: int, d: int) -> Iterator[Mono]:
@@ -194,17 +171,6 @@ class Polynomial:
     def degree(self) -> int:
         """Total degree (of the leading term); -1 for the zero polynomial."""
         return sum(self.terms[0][0]) if self.terms else -1
-
-    @property
-    def homogeneous_degree(self):
-        """Common degree of all terms, or None if inhomogeneous or zero."""
-        if not self.terms:
-            return None
-        d = sum(self.terms[0][0])
-        for m, _ in self.terms:
-            if sum(m) != d:
-                return None
-        return d
 
     # -- arithmetic -------------------------------------------------------
     def _check(self, other: "Polynomial"):
@@ -345,17 +311,6 @@ def _merge(field: Field, a, b, sign: int):
         neg = field.neg
         out.extend((m, neg(c)) for m, c in b[j:])
     return out
-
-
-def poly_arith(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    """Named-operation façade over the dunder arithmetic."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ----------------------------------------------------------------------

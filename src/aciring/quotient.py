@@ -113,9 +113,6 @@ class QuotientRing:
     def nf(self, f: Polynomial) -> Polynomial:
         return self.gb.normal_form(f)
 
-    def multiply(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return self.nf(f.mul(g, None))
-
     def to_vector(self, f: Polynomial, d: int | None = None):
         """Coordinates of nf(f) in the degree-d standard monomial basis."""
         r = self.nf(f)

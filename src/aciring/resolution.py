@@ -23,9 +23,9 @@ import numpy as np
 from .errors import BoundTooSmall
 from .fields import QQ
 from .groebner import aci_ideal, squares_ideal
-from .linalg import Echelon, kernel_basis, rank, sparse_rank
+from .linalg import Echelon, kernel_basis, sparse_rank
 from .poly import Polynomial, squared_variable_sum
-from .quotient import GradedModuleSpan, QuotientRing
+from .quotient import GradedModuleSpan, QuotientRing, annihilator
 
 
 class BettiTable:
@@ -213,23 +213,6 @@ def ci_differential(module: QuotientRing, U: Sequence[int], i: int, j: int):
                 above = sum(1 for u in S if u > t)
                 emit(col, tgt, t, negative=(len(S) + above) % 2 == 1)
     return rows, nrows, ncols
-
-
-def ci_dense_differential(module: QuotientRing, U: Sequence[int], i: int, j: int):
-    """Dense matrix form of ci_differential, for small checks."""
-    rows, nrows, ncols = ci_differential(module, U, i, j)
-    field = module.field
-    if field.is_prime_field:
-        M = np.zeros((nrows, ncols), dtype=np.int64)
-        for r, cs in rows.items():
-            for c, v in cs.items():
-                M[r, c] = v
-        return M
-    M = [[field.zero()] * ncols for _ in range(nrows)]
-    for r, cs in rows.items():
-        for c, v in cs.items():
-            M[r][c] = v
-    return M
 
 
 def ci_resolution_betti(
@@ -516,11 +499,15 @@ def syzygy_betti(
 # ----------------------------------------------------------------------
 
 
-def _gorenstein_presentation(n: int, field) -> tuple[QuotientRing, list[Polynomial]]:
-    """The ring P = Q/(squares) and the colon-ideal generators of G/J inside it."""
-    P = QuotientRing(squares_ideal(n, field), name="P")
-    lifts = P.annihilator_of_element(squared_variable_sum(n, field))
-    return P, lifts
+def gorenstein_presentation(n: int, field) -> tuple[QuotientRing, list[Polynomial]]:
+    """The ring P = Q/(squares) and the generators of G = (squares) : h^2.
+
+    G is the preimage in Q of ann_P(h^2): the squares, then the lifts of the
+    annihilator's minimal generators.  The lifts are normal forms in P, so
+    they are exactly the generators that do not vanish there.
+    """
+    P = named_quotient("P", n, field)
+    return P, annihilator(P, squared_variable_sum(n, field))
 
 
 def lifting_identity_check(n: int, field=None) -> bool:
@@ -553,10 +540,10 @@ def duality_check(n: int, field=None) -> bool:
         raise ValueError("defined for n >= 2")
     if field is None:
         field = QQ
-    P, lifts = _gorenstein_presentation(n, field)
-    module = GradedModuleSpan(P, lifts, name="G/J")
+    P, gens = gorenstein_presentation(n, field)
+    module = GradedModuleSpan(P, [g for g in gens if P.nf(g)], name="G/J")
     left = ci_resolution_betti(module)
-    right = koszul_betti(QuotientRing(aci_ideal(n, field), name="R"))
+    right = koszul_betti(named_quotient("R", n, field))
     flipped = {(n - i, 2 * n - j): v for (i, j), v in left.entries.items()}
     return flipped == right.entries
 
@@ -568,7 +555,6 @@ def named_quotient(label: str, n: int, field, degree_cap: int | None = None) -> 
     if label == "R":
         return QuotientRing(aci_ideal(n, field), degree_cap=degree_cap, name="R")
     if label == "A":
-        P, lifts = _gorenstein_presentation(n, field)
-        gens = list(squares_ideal(n, field)) + lifts
+        _, gens = gorenstein_presentation(n, field)
         return QuotientRing(gens, degree_cap=degree_cap, name="A")
     raise ValueError(f"unknown quotient label {label!r}")

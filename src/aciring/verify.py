@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import AciringError
-from .fields import QQ, default_characteristic, field_for_char
+from .fields import default_characteristic, field_for_char
 from .formulas import betti_table_formula, catalan, ell, gamma_sequence, hilbert_formula, rho_sequence
 from .gorenstein import (
     G_from_orbit,
@@ -26,22 +26,14 @@ from .gorenstein import (
     predicted_initial_ideal,
     slp_check_A,
 )
-from .groebner import aci_ideal, buchberger, ideal_equal, squares_ideal
-from .poly import squared_variable_sum
-from .quotient import QuotientRing, annihilator, build_quotient
-from .resolution import ci_resolution_betti, duality_check, koszul_betti, lifting_identity_check
-
-SUITE_NAMES = (
-    "hilbert",
-    "betti-even",
-    "betti-odd",
-    "duality",
-    "socle",
-    "ezd",
-    "lifting",
-    "groebner",
-    "slp",
-    "sequences",
+from .groebner import buchberger, ideal_equal
+from .resolution import (
+    ci_resolution_betti,
+    duality_check,
+    gorenstein_presentation,
+    koszul_betti,
+    lifting_identity_check,
+    named_quotient,
 )
 
 # frozen reference data for the sequences suite (even n only)
@@ -110,49 +102,20 @@ class VerificationReport:
 
 
 # ----------------------------------------------------------------------
-# ring builders
-# ----------------------------------------------------------------------
-
-
-def _field(n: int, characteristic: int | None):
-    if characteristic is None:
-        characteristic = default_characteristic(n)
-    return field_for_char(characteristic)
-
-
-def _ring_P(n, field):
-    return build_quotient(squares_ideal(n, field), n=n, field=field, name="P")
-
-
-def _ring_R(n, field):
-    return build_quotient(aci_ideal(n, field), n=n, field=field, name="R")
-
-
-def _gorenstein_generators(n, field):
-    return annihilator(_ring_P(n, field), squared_variable_sum(n, field))
-
-
-def _ring_A(n, field):
-    return build_quotient(_gorenstein_generators(n, field), n=n, field=field, name="A")
-
-
-# ----------------------------------------------------------------------
 # individual checks; each returns (expected, computed, passed)
 # ----------------------------------------------------------------------
 
 
 def _check_hilbert(ring: str, n: int, field):
-    builder = {"P": _ring_P, "R": _ring_R, "A": _ring_A}[ring]
     expected = hilbert_formula(ring, n)
-    computed = builder(n, field).hilbert_series()
+    computed = named_quotient(ring, n, field).hilbert_series()
     return str(expected), str(computed), expected == computed
 
 
 def _check_hilbert_step_down(ring: str, n: int, field):
     """For odd n the Hilbert function drops to n-1 variables by h(i+1) + h(i)."""
-    builder = {"R": _ring_R, "A": _ring_A}[ring]
-    big = builder(n, field).hilbert_series()
-    small = builder(n - 1, field).hilbert_series()
+    big = named_quotient(ring, n, field).hilbert_series()
+    small = named_quotient(ring, n - 1, field).hilbert_series()
 
     def val(seq, i):
         return seq[i] if 0 <= i < len(seq) else 0
@@ -163,9 +126,8 @@ def _check_hilbert_step_down(ring: str, n: int, field):
 
 
 def _check_betti(ring: str, n: int, field):
-    builder = {"R": _ring_R, "A": _ring_A}[ring]
     expected = betti_table_formula(ring, n)
-    computed = koszul_betti(builder(n, field))
+    computed = koszul_betti(named_quotient(ring, n, field))
     return str(sorted(expected.entries.items())), str(sorted(computed.entries.items())), (
         expected.entries == computed.entries
     )
@@ -177,33 +139,29 @@ def _check_duality(n: int, field):
 
 
 def _check_socle_R(n: int, field):
-    R = _ring_R(n, field)
-    dims = R.socle_dimensions()
+    dims = named_quotient("R", n, field).socle_dimensions()
     expected = [0] * (n - ell(n) - 1) + [catalan(ell(n) + 2)]
     return str(expected), str(dims), dims == expected
 
 
 def _check_socle_gens(n: int, field):
-    lifts = _ring_P(n, field).annihilator_of_element(squared_variable_sum(n, field))
+    P, gens = gorenstein_presentation(n, field)
     want = catalan(ell(n) + 2)
-    degs = sorted(g.degree for g in lifts)
+    degs = sorted(g.degree for g in gens if P.nf(g))
     expected = [ell(n) + 1] * want
     return f"{want} generators in degree {ell(n) + 1}", str(degs), degs == expected
 
 
 def _check_ezd(ring: str, n: int, field):
-    builder = {"R": _ring_R, "A": _ring_A}[ring]
-    q = builder(n, field)
-    ok, rows = q.variable_annihilator_is_principal(n - 1)
+    ok, rows = named_quotient(ring, n, field).variable_annihilator_is_principal(n - 1)
     return "annihilator = principal ideal", f"dimension rows {rows}", ok
 
 
 def _check_reduction(ring: str, n: int, field):
     """Resolving over the single-square hypersurface matches the ring one
     variable down."""
-    builder = {"R": _ring_R, "A": _ring_A}[ring]
-    big = builder(n, field)
-    small = builder(n - 1, field)
+    big = named_quotient(ring, n, field)
+    small = named_quotient(ring, n - 1, field)
     over_small = koszul_betti(small)
     max_i = n - 1
     max_j = max_i + max(big.socle_degree(), small.socle_degree())
@@ -219,7 +177,7 @@ def _check_lifting(n: int, field):
 
 
 def _check_three_way(n: int, field):
-    colon = _gorenstein_generators(n, field)
+    _, colon = gorenstein_presentation(n, field)
     orbit = G_from_orbit(n, field)
     dual = ann_of_form(n, field)
     bound = 2 * n
@@ -249,8 +207,8 @@ def _check_g_identity(n: int, field):
     return "product reduces to zero", "zero" if ok else "nonzero", ok
 
 
-def _check_slp(n: int, characteristic: int):
-    ok = slp_check_A(n, characteristic)
+def _check_slp(n: int, field):
+    ok = slp_check_A(n, field.characteristic)
     return "Lefschetz in every degree and power", "holds" if ok else "fails", ok
 
 
@@ -315,6 +273,71 @@ def _check_gamma_properties(n: int):
 # ----------------------------------------------------------------------
 
 
+def _per_ring(prefix: str, check, rings: str):
+    return [(f"{prefix}-{r}", lambda n, f, r=r: check(r, n, f)) for r in rings]
+
+
+# Each suite is a list of groups (default n values, over a field, checks).
+# A group runs its checks in order for each n; a check is (id, fn), called
+# as fn(n, field) in a group over a field and as fn(n) otherwise.  Without
+# an explicit range the defaults stay within the documented runtime budgets:
+# rationals through n = 7 and the default prime field at n = 8.
+_SUITES = {
+    "hilbert": [
+        (range(2, 9), True, _per_ring("hilbert", _check_hilbert, "PRA")),
+        ((3, 5, 7), True, _per_ring("hilbert-step-down", _check_hilbert_step_down, "RA")),
+    ],
+    "betti-even": [((2, 4, 6, 8), True, _per_ring("betti-even", _check_betti, "RA"))],
+    "betti-odd": [((3, 5, 7), True, _per_ring("betti-odd", _check_betti, "RA"))],
+    "duality": [(range(2, 7), True, [("duality", _check_duality)])],
+    "socle": [(range(2, 8), True, [("socle-level", _check_socle_R), ("socle-generators", _check_socle_gens)])],
+    "ezd": [
+        (
+            (3, 5, 7),
+            True,
+            [
+                *_per_ring("ezd", _check_ezd, "R"),
+                *_per_ring("ezd-reduction", _check_reduction, "R"),
+                *_per_ring("ezd", _check_ezd, "A"),
+                *_per_ring("ezd-reduction", _check_reduction, "A"),
+            ],
+        )
+    ],
+    "lifting": [((3, 5, 7), True, [("lifting", _check_lifting)])],
+    "groebner": [
+        (range(2, 8), True, [("groebner-three-way", _check_three_way), ("groebner-initial-ideal", _check_initial_ideal)]),
+        (range(2, 10), True, [("groebner-identity", _check_g_identity)]),
+    ],
+    "slp": [
+        (range(2, 8), True, [("slp-both-routes", _check_slp)]),
+        (range(2, 11), False, [("slp-disjointness", _check_disjointness)]),
+    ],
+    "sequences": [
+        (
+            (2, 4, 6, 8),
+            False,
+            [
+                ("sequences-rho-list", lambda n: _check_sequence_list("rho", n)),
+                ("sequences-gamma-list", lambda n: _check_sequence_list("gamma", n)),
+            ],
+        ),
+        (
+            (2, 4, 6, 8, 10),
+            False,
+            [("sequences-rho-properties", _check_rho_properties), ("sequences-gamma-properties", _check_gamma_properties)],
+        ),
+        (range(2, 13), False, [("sequences-ballot-count", _check_ballot_count)]),
+    ],
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
+def _field(n: int, characteristic: int | None):
+    if characteristic is None:
+        characteristic = default_characteristic(n)
+    return field_for_char(characteristic)
+
+
 def _timed(records: list[CheckRecord], check_id: str, n: int, fn):
     t0 = time.perf_counter()
     try:
@@ -333,102 +356,28 @@ def _wanted(ns, default):
     return [n for n in ns if n in set(default)]
 
 
-def run_suite(suite: str, ns: list[int] | None = None, characteristic: int | None = None) -> VerificationReport:
-    """Run one suite (or "all") over the requested n values.
+def suite_field_ns(suite: str) -> list[int]:
+    """The n values at which the suite (or "all"), run without a range,
+    computes over a field."""
+    names = SUITE_NAMES if suite == "all" else (suite,)
+    return sorted({n for name in names for default, over_field, _ in _SUITES[name] if over_field for n in default})
 
-    Without an explicit range each suite uses its own default, chosen to
-    stay within the documented runtime budgets: rationals through n = 7
-    and the default prime field at n = 8.
-    """
+
+def run_suite(suite: str, ns: list[int] | None = None, characteristic: int | None = None) -> VerificationReport:
+    """Run one suite (or "all") over the requested n values, or over each
+    group's default n values without a range."""
     if suite == "all":
         records = []
         for name in SUITE_NAMES:
             records.extend(run_suite(name, ns, characteristic).records)
         return VerificationReport("all", records)
-    if suite not in SUITE_NAMES:
+    if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}")
 
     records: list[CheckRecord] = []
-
-    if suite == "hilbert":
-        for n in _wanted(ns, range(2, 9)):
-            field = _field(n, characteristic)
-            for ring in ("P", "R", "A"):
-                _timed(records, f"hilbert-{ring}", n, lambda r=ring, n=n, f=field: _check_hilbert(r, n, f))
-        for n in _wanted(ns, (3, 5, 7)):
-            field = _field(n, characteristic)
-            for ring in ("R", "A"):
-                _timed(
-                    records,
-                    f"hilbert-step-down-{ring}",
-                    n,
-                    lambda r=ring, n=n, f=field: _check_hilbert_step_down(r, n, f),
-                )
-
-    elif suite == "betti-even":
-        for n in _wanted(ns, (2, 4, 6, 8)):
-            field = _field(n, characteristic)
-            for ring in ("R", "A"):
-                _timed(records, f"betti-even-{ring}", n, lambda r=ring, n=n, f=field: _check_betti(r, n, f))
-
-    elif suite == "betti-odd":
-        for n in _wanted(ns, (3, 5, 7)):
-            field = _field(n, characteristic)
-            for ring in ("R", "A"):
-                _timed(records, f"betti-odd-{ring}", n, lambda r=ring, n=n, f=field: _check_betti(r, n, f))
-
-    elif suite == "duality":
-        for n in _wanted(ns, range(2, 7)):
-            field = _field(n, characteristic)
-            _timed(records, "duality", n, lambda n=n, f=field: _check_duality(n, f))
-
-    elif suite == "socle":
-        for n in _wanted(ns, range(2, 8)):
-            field = _field(n, characteristic)
-            _timed(records, "socle-level", n, lambda n=n, f=field: _check_socle_R(n, f))
-            _timed(records, "socle-generators", n, lambda n=n, f=field: _check_socle_gens(n, f))
-
-    elif suite == "ezd":
-        for n in _wanted(ns, (3, 5, 7)):
-            field = _field(n, characteristic)
-            for ring in ("R", "A"):
-                _timed(records, f"ezd-{ring}", n, lambda r=ring, n=n, f=field: _check_ezd(r, n, f))
-                _timed(
-                    records,
-                    f"ezd-reduction-{ring}",
-                    n,
-                    lambda r=ring, n=n, f=field: _check_reduction(r, n, f),
-                )
-
-    elif suite == "lifting":
-        for n in _wanted(ns, (3, 5, 7)):
-            field = _field(n, characteristic)
-            _timed(records, "lifting", n, lambda n=n, f=field: _check_lifting(n, f))
-
-    elif suite == "groebner":
-        for n in _wanted(ns, range(2, 8)):
-            field = _field(n, characteristic)
-            _timed(records, "groebner-three-way", n, lambda n=n, f=field: _check_three_way(n, f))
-            _timed(records, "groebner-initial-ideal", n, lambda n=n, f=field: _check_initial_ideal(n, f))
-        for n in _wanted(ns, range(2, 10)):
-            field = _field(n, characteristic)
-            _timed(records, "groebner-identity", n, lambda n=n, f=field: _check_g_identity(n, f))
-
-    elif suite == "slp":
-        for n in _wanted(ns, range(2, 8)):
-            char = characteristic if characteristic is not None else 0
-            _timed(records, "slp-both-routes", n, lambda n=n, c=char: _check_slp(n, c))
-        for n in _wanted(ns, range(2, 11)):
-            _timed(records, "slp-disjointness", n, lambda n=n: _check_disjointness(n))
-
-    elif suite == "sequences":
-        for n in _wanted(ns, (2, 4, 6, 8)):
-            _timed(records, "sequences-rho-list", n, lambda n=n: _check_sequence_list("rho", n))
-            _timed(records, "sequences-gamma-list", n, lambda n=n: _check_sequence_list("gamma", n))
-        for n in _wanted(ns, (2, 4, 6, 8, 10)):
-            _timed(records, "sequences-rho-properties", n, lambda n=n: _check_rho_properties(n))
-            _timed(records, "sequences-gamma-properties", n, lambda n=n: _check_gamma_properties(n))
-        for n in _wanted(ns, range(2, 13)):
-            _timed(records, "sequences-ballot-count", n, lambda n=n: _check_ballot_count(n))
-
+    for default, over_field, checks in _SUITES[suite]:
+        for n in _wanted(ns, default):
+            args = (n, _field(n, characteristic)) if over_field else (n,)
+            for check_id, fn in checks:
+                _timed(records, check_id, n, lambda: fn(*args))
     return VerificationReport(suite, records)

@@ -325,6 +325,8 @@ def test_usage_errors_exit_two(capsys):
         ["hilbert", "--ring", "R", "--n-range", "nope"],
         ["hilbert", "--ring", "R", "--n", "5", "--char", "10"],  # composite
         ["hilbert", "--ring", "R", "--n", "5", "--char", "5"],  # not > n
+        ["hilbert", "--ring", "R", "--n", "5", "--char", "1"],  # not prime
+        ["verify", "--suite", "hilbert", "--char", "5"],  # the suite's default range reaches n = 8
         ["sequence", "rho", "--n-range", "3..3"],  # no even n
     ):
         with pytest.raises(SystemExit) as exc:
@@ -349,6 +351,12 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("aciring ")
+
+
+def test_public_names_resolve():
+    assert len(aciring.__all__) == len(set(aciring.__all__))
+    for name in aciring.__all__:
+        assert hasattr(aciring, name), name
 
 
 def test_module_entry_point(tmp_path):

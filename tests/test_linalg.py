@@ -48,6 +48,17 @@ def test_gf_rank_matches_oracle():
             dtype=np.int64,
         )
         assert gf_rank(A.copy(), p) == gf_rank_slow(A.tolist(), p)
+    # smaller side over two or three 120-column panels, tall and wide: rank k
+    # from L @ R ends inside a panel, and a repeated row/column of the factors
+    # plus a zero one make the panels skip pivots
+    nprng = np.random.default_rng(12)
+    for nrows, ncols, k in ((250, 130, 130), (130, 250, 125), (250, 245, 200), (241, 260, 170)):
+        L = nprng.integers(0, p, size=(nrows, k))
+        R = nprng.integers(0, p, size=(k, ncols))
+        L[7], R[:, 5] = 3 * L[2] % p, R[:, 3]
+        L[125], R[:, 126] = 0, 0
+        A = (L @ R) % p  # entries stay below k * p^2 < 2^63
+        assert gf_rank(A.copy(), p) == gf_rank_slow(A.tolist(), p)
 
 
 def test_sparse_rank_matches_dense_both_fields():
