@@ -30,7 +30,7 @@ import sys
 from . import __version__
 from .cache import cache_key, lookup, store
 from .errors import AciringError
-from .fields import QQ, default_characteristic, field_for_char, is_prime
+from .fields import MAX_PRIME, QQ, default_characteristic, field_for_char, is_prime
 from .formulas import betti_table_formula, ell, gamma_sequence, hilbert_formula, rho_sequence
 from .gorenstein import (
     G_from_orbit,
@@ -135,6 +135,8 @@ def _resolve_char(args, ns, parser) -> int:
     c = args.char
     if c == 0:
         return 0
+    if c > MAX_PRIME:
+        parser.error(f"--char must be at most {MAX_PRIME}, the largest prime the mod-p kernels handle exactly")
     if not is_prime(c) or c <= max(ns, default=0):
         parser.error("--char must be 0 or a prime larger than every requested n")
     return c

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .errors import FieldMismatch
 
@@ -16,8 +17,13 @@ DEFAULT_PRIME = 32003
 
 
 def is_prime(p: int) -> bool:
-    """Trial division; fast for the small primes used here, slow near 2^62."""
+    """Trial division: at most about 10^4 steps up to MAX_PRIME."""
     return p >= 2 and not any(p % q == 0 for q in range(2, min(p, 1 + int(p ** 0.5) + 1)))
+
+
+# The largest prime p with (p-1)^2 < 2^53, the bound below which the mod-p
+# kernels of ``linalg`` are exact (see the notes on gf_matmul and gf_rank).
+MAX_PRIME = next(p for p in range(isqrt((1 << 53) - 1) + 1, 1, -1) if is_prime(p))
 
 
 class Field:
@@ -28,6 +34,8 @@ class Field:
     def __init__(self, characteristic: int = 0):
         if characteristic < 0:
             raise ValueError("characteristic must be 0 or a prime")
+        if characteristic > MAX_PRIME:
+            raise ValueError(f"characteristic {characteristic} exceeds {MAX_PRIME}, the largest prime handled exactly")
         if characteristic and not is_prime(characteristic):
             raise ValueError(f"{characteristic} is not prime")
         self.characteristic = characteristic
@@ -129,6 +137,9 @@ def default_characteristic(n: int) -> int:
 
     Rank computations at n = 8 get large enough that the single-large-prime
     path is the practical default; callers can always force characteristic 0.
+    Measured on a 2-CPU machine (one run each, ring construction included),
+    the n = 8 Koszul table (``betti --method koszul``) takes 3.3 s for R and
+    6.0 s for A over GF(32003), against 7.7 s and 17.4 s over QQ.
     The prime comfortably exceeds every n in scope, matching the standing
     hypothesis that the characteristic is zero or larger than n.
     """

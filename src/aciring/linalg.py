@@ -2,11 +2,12 @@
 
 Rational matrices are lists of rows (``Fraction``/``int`` entries); prime
 field matrices are numpy ``int64`` arrays with entries in ``range(p)``.
-Ranks of big sparse matrices go through a singleton-pivot pre-pass.  Over
-QQ a unit-pivot pass (integer-exact elimination on +-1 pivots) follows and
-fraction-free (Bareiss) elimination takes what is left; over GF(p) the core
-goes to ``gf_rank``, the one dense mod-p rank kernel: blocked elimination
-with delayed reduction and one matrix-product update per panel.
+Ranks of big sparse matrices go through a singleton-pivot pre-pass, then one
+sparse pivoting pass for both fields: over QQ on +-1 pivots with integer
+arithmetic, over GF(p) on any nonzero entry until fill-in makes the rest
+dense.  What is left goes to the dense kernel: fraction-free (Bareiss)
+elimination over QQ, and over GF(p) ``gf_rank``, blocked elimination with
+delayed reduction and one matrix-product update per panel.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field) -> int:
     """Rank of a sparse matrix given as {row: {col: value}}.
 
     Rows or columns with a single nonzero entry are pivoted away without
-    fill-in; the remaining dense core goes to the field-appropriate
-    elimination.  The input dict is consumed.
+    fill-in, ``_pivot_rank`` eliminates sparsely, and the remaining dense
+    core goes to the field's dense kernel.  Over GF(p) the values must lie
+    in ``range(p)``.  The input dict is consumed.
     """
     rows = {}
     for r, cs in row_entries.items():
@@ -140,23 +142,22 @@ def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field) -> int:
 
     if not rows:
         return rk
-    if field.is_prime_field:
-        col_list = sorted(cols)
-        col_pos = {c: k for k, c in enumerate(col_list)}
-        A = np.zeros((len(rows), len(col_list)), dtype=np.int64)
-        for i, (r, cs) in enumerate(rows.items()):
-            for c, v in cs.items():
-                A[i, col_pos[c]] = v
-        return rk + gf_rank(A, field.characteristic)
-    _scale_sparse_rows_to_int(rows)
-    rk += _unit_pivot_rank(rows, cols)
+    p = field.characteristic
+    if not p:
+        _scale_sparse_rows_to_int(rows)
+    rk += _pivot_rank(rows, cols, p)
     if not rows:
         return rk
-    col_list = sorted(cols)
-    col_pos = {c: k for k, c in enumerate(col_list)}
+    col_pos = {c: k for k, c in enumerate(sorted(cols))}
+    if p:
+        A = np.zeros((len(rows), len(col_pos)), dtype=np.int64)
+        for i, cs in enumerate(rows.values()):
+            for c, v in cs.items():
+                A[i, col_pos[c]] = v
+        return rk + gf_rank(A, p)
     dense = []
     for cs in rows.values():
-        row = [0] * len(col_list)
+        row = [0] * len(col_pos)
         for c, v in cs.items():
             row[col_pos[c]] = v
         dense.append(row)
@@ -182,14 +183,18 @@ def _scale_sparse_rows_to_int(rows: dict) -> None:
         rows[r] = ints
 
 
-def _unit_pivot_rank(rows: dict, cols: dict) -> int:
-    """Integer-exact elimination on +-1 pivots; leftovers stay in ``rows``.
+def _pivot_rank(rows: dict, cols: dict, p: int) -> int:
+    """Sparse elimination over GF(p), or over QQ when p == 0; leftovers stay in ``rows``.
 
     Shortest rows are pivoted first (lazy heap, stale lengths re-pushed) and
-    within a row the unit entry with the fewest other nonzeros in its column
-    wins, which keeps fill-in low on the incidence-like matrices this sees.
-    A row with no unit entry re-enters the heap whenever elimination changes
-    it; rows that never acquire one are left for the dense fallback.
+    within a row the admissible entry with the fewest other nonzeros in its
+    column wins, which keeps fill-in low on the incidence-like matrices this
+    sees.  Over QQ only +-1 entries are admissible, so the integer rows stay
+    integer; a row with none re-enters the heap whenever elimination changes
+    it, and rows that never acquire one are left for Bareiss.  Over GF(p)
+    every nonzero is admissible and entries stay in ``range(p)``; the pass
+    stops once the shortest row holds more than 1/16 of the live columns,
+    where fill-in has made the rest dense and the blocked kernel is faster.
     """
     heap = [(len(cs), r) for r, cs in rows.items()]
     heapq.heapify(heap)
@@ -202,15 +207,19 @@ def _unit_pivot_rank(rows: dict, cols: dict) -> int:
         if len(prow) != ln:
             heapq.heappush(heap, (len(prow), pr))
             continue
+        if p and 16 * ln > len(cols):
+            break
         best = None
         for c, v in prow.items():
-            if v == 1 or v == -1:
+            if p or v == 1 or v == -1:
                 load = len(cols[c])
                 if best is None or load < best[0]:
                     best = (load, c, v)
         if best is None:
             continue
         _, pc, s = best
+        # 1/s: s itself for the units +-1 over QQ
+        inv = pow(s, p - 2, p) if p else s
         del rows[pr]
         for c in prow:
             rs = cols[c]
@@ -220,11 +229,14 @@ def _unit_pivot_rank(rows: dict, cols: dict) -> int:
         rk += 1
         for r2 in list(cols.get(pc, ())):
             row2 = rows[r2]
-            # s is +-1, so the multiplier row2[pc]/s is the integer row2[pc]*s
-            m = row2[pc] * s
+            m = row2[pc] * inv
+            if p:
+                m %= p
             for c, v in prow.items():
                 old = row2.get(c, 0)
                 nv = old - m * v
+                if p:
+                    nv %= p
                 if nv:
                     row2[c] = nv
                     if not old:
@@ -397,7 +409,9 @@ def gf_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 
 # Columns per panel of gf_rank.  Reduction is delayed inside a panel, so
-# entries grow to at most _PANEL * p^2.
+# entries grow to at most _PANEL * p^2.  Field refuses p above
+# fields.MAX_PRIME, the largest prime with (p-1)^2 < 2^53: up to it each
+# float64 product in gf_matmul is exact, and _PANEL * p^2 < 2^63.
 _PANEL = 120
 
 

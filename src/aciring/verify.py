@@ -365,14 +365,21 @@ def suite_field_ns(suite: str) -> list[int]:
 
 def run_suite(suite: str, ns: list[int] | None = None, characteristic: int | None = None) -> VerificationReport:
     """Run one suite (or "all") over the requested n values, or over each
-    group's default n values without a range."""
+    group's default n values without a range.
+
+    A characteristic p > 0 must exceed every requested n, or without a range
+    every n at which the suite computes over a field; otherwise ValueError.
+    """
+    if suite != "all" and suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}")
+    top = max(ns if ns is not None else suite_field_ns(suite), default=0)
+    if characteristic and characteristic <= top:
+        raise ValueError(f"characteristic {characteristic} must be 0 or larger than n = {top}")
     if suite == "all":
         records = []
         for name in SUITE_NAMES:
             records.extend(run_suite(name, ns, characteristic).records)
         return VerificationReport("all", records)
-    if suite not in _SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}")
 
     records: list[CheckRecord] = []
     for default, over_field, checks in _SUITES[suite]:

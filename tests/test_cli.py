@@ -327,6 +327,8 @@ def test_usage_errors_exit_two(capsys):
         ["hilbert", "--ring", "R", "--n", "5", "--char", "5"],  # not > n
         ["hilbert", "--ring", "R", "--n", "5", "--char", "1"],  # not prime
         ["verify", "--suite", "hilbert", "--char", "5"],  # the suite's default range reaches n = 8
+        # above fields.MAX_PRIME the int64/float64 mod-p kernels are inexact
+        ["betti", "--ring", "A", "--n", "6", "--char", "2147483647", "--cross-check", "--no-cache"],
         ["sequence", "rho", "--n-range", "3..3"],  # no even n
     ):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from aciring.fields import Field, is_prime
+from aciring.fields import GF, MAX_PRIME, Field, is_prime
 
 
 def _is_prime_naive(p):
@@ -18,3 +18,14 @@ def test_is_prime_matches_naive_predicate():
 def test_field_rejects_non_primes(characteristic):
     with pytest.raises(ValueError):
         Field(characteristic)
+
+
+def test_field_bounds_the_prime():
+    # Mersenne primes above the bound; 2^61 - 1 must be refused before the
+    # trial division, which would not finish
+    for p in (2**31 - 1, 2**61 - 1):
+        with pytest.raises(ValueError):
+            GF(p)
+    assert GF(MAX_PRIME).characteristic == MAX_PRIME
+    # the largest prime p with (p-1)^2 < 2^53; the next prime is 94906297
+    assert MAX_PRIME == 94906249 and (MAX_PRIME - 1) ** 2 < 2**53 <= (94906297 - 1) ** 2

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aciring.fields import GF, QQ
+from aciring import linalg
+from aciring.fields import GF, MAX_PRIME, QQ
 from aciring.linalg import (
     Echelon,
     gf_rank,
@@ -59,6 +60,12 @@ def test_gf_rank_matches_oracle():
         L[125], R[:, 126] = 0, 0
         A = (L @ R) % p  # entries stay below k * p^2 < 2^63
         assert gf_rank(A.copy(), p) == gf_rank_slow(A.tolist(), p)
+    # the largest prime a Field accepts: the panel's delayed reduction and
+    # gf_matmul's float64 products are still exact (at 2^31 - 1 they are not)
+    p = MAX_PRIME
+    L, R = nprng.integers(0, p, size=(140, 100)), nprng.integers(0, p, size=(100, 130))
+    A = (L @ R) % p
+    assert gf_rank(A.copy(), p) == gf_rank_slow(A.tolist(), p) == 100
 
 
 def test_sparse_rank_matches_dense_both_fields():
@@ -86,6 +93,55 @@ def test_sparse_rank_matches_dense_both_fields():
             gf_rows = {r: {c: int(v * 12) % p for c, v in cs.items()} for r, cs in rows.items()}
             dense_p = [[gf_rows.get(r, {}).get(c, 0) for c in range(ncols)] for r in range(nrows)]
             assert sparse_rank(gf_rows, nrows, ncols, GF(p)) == gf_rank_slow(dense_p, p)
+
+
+def _sparse_mod_p(rng, nrows, ncols, per_row, p):
+    """{row: {col: value}} with about ``per_row`` nonzeros in range(p) per row;
+    every eighth row is left empty and the top columns are never used."""
+    used = ncols - 3
+    return {
+        r: {rng.randrange(used): rng.randrange(1, p) for _ in range(rng.randint(1, 2 * per_row))}
+        for r in range(nrows)
+        if r % 8 != 5
+    }
+
+
+def test_sparse_rank_pivot_pass_matches_oracle(monkeypatch):
+    # 60-150 rows and columns at 2-5% density: the pivoting pass does most of
+    # the work, and either finishes or hands a dense rest to gf_rank
+    handed_off = []
+    dense_kernel = linalg.gf_rank
+    monkeypatch.setattr(linalg, "gf_rank", lambda A, p: handed_off.append(A.shape) or dense_kernel(A, p))
+    rng = random.Random(16)
+    outcomes = set()
+    for p in (2, 3, 101, 32003):
+        for trial in range(6):
+            nrows, ncols = rng.randint(60, 150), rng.randint(60, 150)
+            per_row = max(1, round(ncols * rng.uniform(0.02, 0.05)))
+            if trial % 2:
+                # rank at most k: L @ R mod p with sparse factors, so sums
+                # cancel exactly (often at p = 2 and 3)
+                k = rng.randint(min(nrows, ncols) // 3, 2 * min(nrows, ncols) // 3)
+                L = _sparse_mod_p(rng, nrows, k, 1, p)
+                R = _sparse_mod_p(rng, k, ncols, max(1, per_row // 2), p)
+                rows = {}
+                for r, ls in L.items():
+                    acc = {}
+                    for t, a in ls.items():
+                        for c, b in R.get(t, {}).items():
+                            acc[c] = (acc.get(c, 0) + a * b) % p
+                    rows[r] = acc  # keeps the sums that cancelled as stored zeros
+            else:
+                rows = _sparse_mod_p(rng, nrows, ncols, per_row, p)
+                # twice another row (all stored zeros at p = 2), and explicit zero entries
+                rows[1] = {c: 2 * v % p for c, v in rows[0].items()}
+                for r in range(2, nrows, 9):
+                    rows.setdefault(r, {})[rng.randrange(ncols)] = 0
+            dense = [[rows.get(r, {}).get(c, 0) for c in range(ncols)] for r in range(nrows)]
+            calls = len(handed_off)
+            assert sparse_rank(rows, nrows, ncols, GF(p)) == gf_rank_slow(dense, p), (p, trial)
+            outcomes.add(len(handed_off) > calls)
+    assert outcomes == {False, True}
 
 
 def test_sparse_rank_explicit_zero_regression():

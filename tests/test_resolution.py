@@ -23,7 +23,10 @@ from aciring import (
     squared_variable_sum,
     syzygy_betti,
 )
+from aciring.fields import GF
+from aciring.linalg import sparse_rank
 from aciring.quotient import GradedModuleSpan, ring_of_polynomials
+from aciring.resolution import ci_differential
 
 R2_TABLE = {(0, 0): 1, (1, 2): 3, (2, 3): 2}
 R3_TABLE = {(0, 0): 1, (1, 2): 4, (2, 3): 2, (2, 4): 3, (3, 5): 2}
@@ -84,6 +87,25 @@ def test_table_shape_invariants():
 # ---------------------------------------------------------------------------
 # syzygy route
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ring", ["R", "A"])
+def test_koszul_slices_rank_alike_over_gf_and_qq(ring):
+    # every nonzero slice of the n = 6 Koszul differential: the sparse mod-p
+    # pivoting pass against the QQ route, on the matrices the tables use
+    n = 6
+    over_qq, over_gf = named_quotient(ring, n, QQ), named_quotient(ring, n, GF(32003))
+    top = over_qq.socle_degree()
+    ranked = set()
+    for i in range(1, n + 1):
+        for j in range(i, i + top):
+            rows_qq, nrows, ncols = ci_differential(over_qq, (), i, j)
+            rows_gf, *shape = ci_differential(over_gf, (), i, j)
+            assert shape == [nrows, ncols]
+            if nrows and ncols:
+                ranked.add(i)
+                assert sparse_rank(rows_gf, nrows, ncols, GF(32003)) == sparse_rank(rows_qq, nrows, ncols, QQ), (i, j)
+    assert ranked == set(range(1, n + 1))
 
 
 def test_syzygy_over_hypersurface_matches_one_variable_down():
