@@ -1,8 +1,9 @@
 """Disk cache for CLI results: one JSON file per key under a cache directory.
 
-The key hashes the command name, its parameters, and the package version,
-so results from an older code version simply never match again.  A corrupt
-or unreadable file behaves like a miss and is overwritten on store.
+The key hashes the command name, its parameters, and the package's own
+source files, so results from any other version of the code simply never
+match again (``__version__`` does not move when the numerics do).  A
+corrupt or unreadable file behaves like a miss and is overwritten on store.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -25,8 +28,21 @@ def cache_dir() -> Path:
     return Path(base) / "aciring"
 
 
+@lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """sha256 over the package's .py files, computed once per process on first use."""
+    package = Path(__file__).resolve().parent
+    h = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        h.update(path.relative_to(package).as_posix().encode())
+        h.update(b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
 def cache_key(command: str, **params) -> str:
-    payload = {"command": command, "params": params, "version": __version__}
+    payload = {"command": command, "params": params, "version": __version__, "sources": _source_digest()}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
@@ -45,10 +61,17 @@ def lookup(key: str):
 
 
 def store(key: str, payload) -> None:
+    """Write the entry atomically: a temp file of this writer's own, then os.replace.
+
+    Raises OSError when the cache directory cannot be created or written.
+    """
     directory = cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{key}.json"
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w") as fh:
-        json.dump({"version": __version__, "payload": payload}, fh)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump({"version": __version__, "payload": payload}, fh)
+        os.replace(tmp, directory / f"{key}.json")
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -162,7 +162,10 @@ def _cached(args, key, compute):
             return hit
     payload = compute()
     if not args.no_cache:
-        store(key, payload)
+        try:
+            store(key, payload)
+        except OSError as exc:
+            print(f"warning: result not cached: {exc}", file=sys.stderr)
     return payload
 
 

@@ -15,7 +15,7 @@ import warnings
 from .fields import GF, QQ, Field
 from .formulas import ell
 from .groebner import MonomialIdeal, normal_form, squares_ideal
-from .linalg import Echelon, int_det_bareiss, kernel_basis, matmul, rank, rref
+from .linalg import Echelon, int_det_bareiss, kernel_basis, matmul, rank
 from .poly import (
     DividedPowerForm,
     Mono,
@@ -148,16 +148,11 @@ def _contraction_kernel(n: int, field: Field, form: DividedPowerForm, cols: list
             r = rowindex.setdefault(mm, len(rowindex))
             ent.append((r, c))
         colentries.append(ent)
-    if not rowindex:  # the zero map: everything annihilates
-        return [
-            [field.one() if j == k else field.zero() for j in range(len(cols))]
-            for k in range(len(cols))
-        ]
     M = [[field.zero()] * len(cols) for _ in range(len(rowindex))]
     for j, ent in enumerate(colentries):
         for i, c in ent:
             M[i][j] = c
-    return [list(v) for v in kernel_basis(M, field, ncols=len(cols))]
+    return kernel_basis(M, field, ncols=len(cols))
 
 
 def ann_of_form(n: int, field: Field = QQ) -> list[Polynomial]:
@@ -311,21 +306,18 @@ def _lefschetz_by_ranks(n: int, field: Field) -> bool:
     reduced: dict[int, tuple] = {}
     for d in range(top + 1):
         cols = squarefree_monomials(n, d)
-        ker = _contraction_kernel(n, field, F, cols)
-        if ker:
-            piv, R = rref(ker, field)
-            R = [list(r) for r in R]
-        else:
-            piv, R = [], []
-        pivset = set(piv)
+        ker = Echelon(field, len(cols))
+        for v in _contraction_kernel(n, field, F, cols):
+            ker.insert(v)
+        pivset = set(ker.pivots)
         free = [j for j in range(len(cols)) if j not in pivset]
         dims[d] = len(free)
-        reduced[d] = (cols, {m: j for j, m in enumerate(cols)}, list(piv), R, free)
+        reduced[d] = (cols, {m: j for j, m in enumerate(cols)}, ker, free)
 
     steps = []
     for d in range(top):
-        cols_d, _, _, _, free_d = reduced[d]
-        cols_t, idx_t, piv_t, R_t, free_t = reduced[d + 1]
+        cols_d, _, _, free_d = reduced[d]
+        cols_t, idx_t, ker_t, free_t = reduced[d + 1]
         columns = []
         for j in free_d:
             m = cols_d[j]
@@ -336,11 +328,7 @@ def _lefschetz_by_ranks(n: int, field: Field) -> bool:
                 mm = list(m)
                 mm[i] = 1
                 v[idx_t[tuple(mm)]] = field.one()
-            for k, p in enumerate(piv_t):
-                c = v[p]
-                if not field.is_zero(c):
-                    row = R_t[k]
-                    v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
+            v = ker_t.reduce(v)
             columns.append([v[c] for c in free_t])
         steps.append(
             [[columns[c][r] for c in range(len(columns))] for r in range(len(free_t))]

@@ -1,7 +1,11 @@
 """Exact linear algebra over the rationals and over GF(p).
 
-Rational matrices are lists of rows (``Fraction``/``int`` entries); prime
-field matrices are numpy ``int64`` arrays with entries in ``range(p)``.
+Every matrix and vector that crosses this module's boundary is a list of
+rows of field elements: ints in ``range(p)`` over GF(p), ints or
+``Fraction``s over QQ.  numpy stays inside the mod-p kernels, ``gf_rank``
+and ``gf_matmul``, which ``rank``, ``matmul`` and ``sparse_rank`` call.
+
+Reduced echelon forms and kernels come from one engine, ``Echelon``.
 Ranks of big sparse matrices go through a singleton-pivot pre-pass, then one
 sparse pivoting pass for both fields: over QQ on +-1 pivots with integer
 arithmetic, over GF(p) on any nonzero entry until fill-in makes the rest
@@ -18,7 +22,7 @@ from math import gcd
 
 import numpy as np
 
-from .fields import Field
+from .fields import MAX_PRIME, Field
 
 # ----------------------------------------------------------------------
 # generic helpers
@@ -26,10 +30,12 @@ from .fields import Field
 
 
 def matmul(A, B, field: Field):
+    """A @ B for matrices given as lists of rows."""
+    n, k, m = len(A), len(B), len(B[0]) if B else 0
     if field.is_prime_field:
-        return gf_matmul(np.asarray(A), np.asarray(B), field.characteristic)
-    n, k = len(A), len(A[0]) if A else 0
-    m = len(B[0]) if B else 0
+        Ap = np.array(A, dtype=np.int64).reshape(n, k)
+        Bp = np.array(B, dtype=np.int64).reshape(k, m)
+        return gf_matmul(Ap, Bp, field.characteristic).tolist()
     out = [[field.zero()] * m for _ in range(n)]
     for i in range(n):
         Ai = A[i]
@@ -48,32 +54,36 @@ def matmul(A, B, field: Field):
 
 def rank(M, field: Field) -> int:
     if field.is_prime_field:
-        A = np.array(M, dtype=np.int64, copy=True)
-        return gf_rank(A, field.characteristic)
+        return gf_rank(np.array(M, dtype=np.int64), field.characteristic)
     return qq_rank([list(r) for r in M])
 
 
-def rref(M, field: Field):
-    """Reduced row echelon form; returns (pivot_columns, rows)."""
-    if field.is_prime_field:
-        R, piv = gf_rref(np.array(M, dtype=np.int64, copy=True), field.characteristic)
-        return piv, R
-    return qq_rref([list(r) for r in M])
-
-
 def kernel_basis(M, field: Field, ncols: int | None = None):
-    """Basis of {v : M v = 0}, as rows; canonical (from the rref free columns)."""
-    if field.is_prime_field:
-        A = np.array(M, dtype=np.int64)
-        if A.size == 0:
-            A = A.reshape(0, ncols if ncols is not None else 0)
-        return gf_kernel(A, field.characteristic)
-    rows = [list(r) for r in M]
-    if not rows:
-        if ncols is None:
+    """Basis of {v : M v = 0}, as rows; canonical (from the rref free columns).
+
+    One vector per free column of the reduced echelon form: 1 there, 0 at
+    the other free columns, and minus that column of each pivot row at the
+    row's pivot.
+    """
+    if ncols is None:
+        if not M:
             raise ValueError("empty matrix needs ncols")
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)] for i in range(ncols)]
-    return qq_kernel(rows)
+        ncols = len(M[0])
+    ech = Echelon(field, ncols)
+    for row in M:
+        ech.insert(row)
+    p = field.characteristic
+    pivots = set(ech.pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for row, pc in zip(ech.rows, ech.pivots):
+            v[pc] = -row[fc] % p if p else -row[fc]
+        basis.append(v)
+    return basis
 
 
 # ----------------------------------------------------------------------
@@ -86,12 +96,13 @@ def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field) -> int:
 
     Rows or columns with a single nonzero entry are pivoted away without
     fill-in, ``_pivot_rank`` eliminates sparsely, and the remaining dense
-    core goes to the field's dense kernel.  Over GF(p) the values must lie
-    in ``range(p)``.  The input dict is consumed.
+    core goes to the field's dense kernel.  Over GF(p) the values are
+    reduced mod p first.  The input dict is consumed.
     """
+    p = field.characteristic
     rows = {}
     for r, cs in row_entries.items():
-        kept = {c: v for c, v in cs.items() if v}
+        kept = {c: v % p for c, v in cs.items() if v % p} if p else {c: v for c, v in cs.items() if v}
         if kept:
             rows[r] = kept
     cols: dict = {}
@@ -142,7 +153,6 @@ def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field) -> int:
 
     if not rows:
         return rk
-    p = field.characteristic
     if not p:
         _scale_sparse_rows_to_int(rows)
     rk += _pivot_rank(rows, cols, p)
@@ -309,52 +319,6 @@ def qq_rank(rows) -> int:
     return r
 
 
-def qq_rref(rows):
-    """Reduced row echelon form over Q; returns (pivot_columns, rows)."""
-    M = [[Fraction(x) if not isinstance(x, Fraction) else x for x in r] for r in rows]
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if M[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[piv], M[r] = M[r], M[piv]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        Mr = M[r]
-        for i in range(nrows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], Mr)]
-        pivots.append(c)
-        r += 1
-    return pivots, M[:r]
-
-
-def qq_kernel(rows):
-    """Canonical kernel basis over Q (one vector per free column of the rref)."""
-    ncols = len(rows[0])
-    pivots, R = qq_rref(rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for k, pc in enumerate(pivots):
-            v[pc] = -R[k][fc]
-        basis.append(v)
-    return basis
-
-
 def int_det_bareiss(rows) -> int:
     """Determinant of a square integer matrix, fraction-free."""
     M = [list(map(int, r)) for r in rows]
@@ -391,8 +355,14 @@ def int_det_bareiss(rows) -> int:
 # ----------------------------------------------------------------------
 
 
+def _check_prime_bound(p: int) -> None:
+    if p > MAX_PRIME:
+        raise ValueError(f"p = {p} exceeds {MAX_PRIME}, the largest prime the mod-p kernels handle exactly")
+
+
 def gf_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A @ B mod p.  Uses exact float64 products when the sizes allow it."""
+    _check_prime_bound(p)
     if A.size == 0 or B.size == 0:
         return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     k = A.shape[1]
@@ -409,8 +379,8 @@ def gf_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 
 # Columns per panel of gf_rank.  Reduction is delayed inside a panel, so
-# entries grow to at most _PANEL * p^2.  Field refuses p above
-# fields.MAX_PRIME, the largest prime with (p-1)^2 < 2^53: up to it each
+# entries grow to at most _PANEL * p^2.  Field, gf_rank and gf_matmul refuse
+# p above fields.MAX_PRIME, the largest prime with (p-1)^2 < 2^53: up to it each
 # float64 product in gf_matmul is exact, and _PANEL * p^2 < 2^63.
 _PANEL = 120
 
@@ -423,8 +393,9 @@ def gf_rank(A: np.ndarray, p: int) -> int:
     of the zeroed entries, classic LU style), then the trailing block gets one
     matrix-product update per panel.  Exact while _PANEL * p^2 < 2^63 (p below
     about 2^28) and while gf_matmul's float64 products are exact (p below
-    about 2^26.5).
+    about 2^26.5); p above ``fields.MAX_PRIME`` is refused.
     """
+    _check_prime_bound(p)
     if A.size == 0:
         return 0
     if A.shape[0] < A.shape[1]:
@@ -481,61 +452,26 @@ def gf_rank(A: np.ndarray, p: int) -> int:
     return r
 
 
-def gf_rref(A: np.ndarray, p: int):
-    """Reduced row echelon form mod p; returns (rows, pivot_columns)."""
-    A = A % p
-    nrows, ncols = A.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        if inv != 1:
-            A[r] = (A[r] * inv) % p
-        f = A[:, c].copy()
-        f[r] = 0
-        nzr = np.flatnonzero(f)
-        if nzr.size:
-            A[nzr] = (A[nzr] - f[nzr, None] * A[r][None, :]) % p
-        pivots.append(c)
-        r += 1
-    return A[:r], pivots
-
-
-def gf_kernel(A: np.ndarray, p: int) -> np.ndarray:
-    """Kernel basis mod p as rows, one per free column (canonical)."""
-    nrows, ncols = A.shape
-    if nrows == 0:
-        return np.eye(ncols, dtype=np.int64)
-    R, pivots = gf_rref(A.copy(), p)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    K = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        K[i, fc] = 1
-        for k, pc in enumerate(pivots):
-            K[i, pc] = (-int(R[k, fc])) % p
-    return K
-
-
 # ----------------------------------------------------------------------
 # incremental row spaces
 # ----------------------------------------------------------------------
 
 
+def _sub_multiple(a: list, c, b: list, p: int) -> list:
+    """The row a - c*b, reduced mod p over GF(p) (p > 0)."""
+    if p:
+        return [(x - c * y) % p if y else x for x, y in zip(a, b)]
+    return [x - c * y if y else x for x, y in zip(a, b)]
+
+
 class Echelon:
     """A row space maintained in reduced echelon form, one insert at a time.
 
-    Entries are plain field elements (Fraction/int), so this is meant for
-    the small dense pieces: annihilator extraction, socle checks, span
-    comparisons.
+    This is the echelon engine of the package: ``kernel_basis`` is built on
+    it, and callers use it directly for annihilator extraction, socle
+    checks and span comparisons.  Vectors are lists of field elements (ints
+    in ``range(p)`` over GF(p), ints or ``Fraction``s over QQ); the rows
+    have a 1 at their pivot and 0 at every other row's pivot.
     """
 
     __slots__ = ("field", "ncols", "rows", "pivots")
@@ -552,34 +488,35 @@ class Echelon:
 
     def reduce(self, vec) -> list:
         """Fully reduce a vector against the current rows (no insertion)."""
-        f = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not f.is_zero(c):
-                for j in range(p, self.ncols):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+        p = self.field.characteristic
+        v = [x % p for x in vec] if p else list(vec)
+        for row, j in zip(self.rows, self.pivots):
+            c = v[j]
+            if c:
+                v = _sub_multiple(v, c, row, p)
         return v
 
     def contains(self, vec) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def insert(self, vec):
         """Insert a vector; returns the normalized residual, or None if dependent."""
-        f = self.field
+        p = self.field.characteristic
         v = self.reduce(vec)
-        piv = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
+        piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return None
-        inv = f.inv(v[piv])
-        v = [f.mul(inv, x) for x in v]
+        if p:
+            inv = pow(v[piv], p - 2, p)
+            v = [inv * x % p for x in v]
+        else:
+            inv = 1 / Fraction(v[piv])
+            v = [inv * x for x in v]
         # keep earlier rows reduced against the new pivot
-        for row in self.rows:
+        for k, row in enumerate(self.rows):
             c = row[piv]
-            if not f.is_zero(c):
-                for j in range(piv, self.ncols):
-                    row[j] = f.sub(row[j], f.mul(c, v[j]))
+            if c:
+                self.rows[k] = _sub_multiple(row, c, v, p)
         at = 0
         while at < len(self.pivots) and self.pivots[at] < piv:
             at += 1

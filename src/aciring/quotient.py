@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DegreeCapExceeded
 from .fields import Field
 from .groebner import GroebnerBasis, buchberger
-from .linalg import Echelon, gf_matmul, kernel_basis, matmul, rank
+from .linalg import Echelon, kernel_basis, rank
+from .linalg import gf_matmul  # noqa: F401  bench/tests/test_bench.py dereferences quotient.gf_matmul
 from .poly import Mono, Polynomial, mono_deg
 
 
@@ -121,10 +120,7 @@ class QuotientRing:
             if d < 0:
                 raise ValueError("zero element needs an explicit degree")
         idx = self.index(d)
-        if self.field.is_prime_field:
-            v = np.zeros(len(idx), dtype=np.int64)
-        else:
-            v = [self.field.zero()] * len(idx)
+        v = [self.field.zero()] * len(idx)
         for m, c in r.terms:
             if mono_deg(m) != d:
                 raise ValueError("element is not homogeneous of the requested degree")
@@ -132,15 +128,8 @@ class QuotientRing:
         return v
 
     def from_vector(self, d: int, vec) -> Polynomial:
-        B = self.basis(d)
-        f = self.field
-        terms = []
-        for m, c in zip(B, vec):
-            if f.is_prime_field:
-                c = int(c) % f.characteristic
-            if not f.is_zero(c):
-                terms.append((m, c))
-        return Polynomial(self.n, f, terms)
+        terms = [(m, c) for m, c in zip(self.basis(d), vec) if c]
+        return Polynomial(self.n, self.field, terms)
 
     # -- multiplication as linear algebra ---------------------------------
 
@@ -154,10 +143,7 @@ class QuotientRing:
             raise ValueError("multiplication by zero has no well-defined degree")
         src = self.basis(d)
         tgt_idx = self.index(d + e)
-        if self.field.is_prime_field:
-            M = np.zeros((len(tgt_idx), len(src)), dtype=np.int64)
-        else:
-            M = [[self.field.zero()] * len(src) for _ in range(len(tgt_idx))]
+        M = [[self.field.zero()] * len(src) for _ in range(len(tgt_idx))]
         for j, m in enumerate(src):
             img = self.nf(f.term_mul(m, self.field.one(), None))
             for mm, c in img.terms:
@@ -171,22 +157,6 @@ class QuotientRing:
             self._varmap_cache[key] = self.multiplication_map(xi, d)
         return self._varmap_cache[key]
 
-    def power_map_rank(self, f: Polynomial, k: int, d: int) -> int:
-        """Rank of multiplication by f^k from degree d, via composed matrices.
-
-        Composing k single-step matrices avoids ever expanding f^k as a
-        polynomial.
-        """
-        e = f.degree
-        M = self.multiplication_map(f, d)
-        for step in range(1, k):
-            M2 = self.multiplication_map(f, d + step * e)
-            if self.field.is_prime_field:
-                M = gf_matmul(M2, M, self.field.characteristic)
-            else:
-                M = matmul(M2, M, self.field)
-        return rank(M, self.field)
-
     # -- socle -------------------------------------------------------------
 
     def socle_dimension(self, d: int) -> int:
@@ -196,14 +166,7 @@ class QuotientRing:
             return 0
         stacked = []
         for i in range(self.n):
-            M = self.variable_map(i, d)
-            if self.field.is_prime_field:
-                stacked.append(np.asarray(M))
-            else:
-                stacked.extend(M)
-        if self.field.is_prime_field:
-            big = np.vstack(stacked) if stacked else np.zeros((0, hd), dtype=np.int64)
-            return hd - rank(big, self.field)
+            stacked.extend(self.variable_map(i, d))
         return hd - rank(stacked, self.field)
 
     def socle_dimensions(self) -> list[int]:
@@ -242,8 +205,7 @@ class QuotientRing:
             if span.rank == len(ker):
                 continue  # ideal so far already fills the kernel
             for v in ker:
-                vec = [int(x) for x in v] if self.field.is_prime_field else list(v)
-                residue = span.insert(vec)
+                residue = span.insert(v)
                 if residue is not None:
                     gens.append(self.from_vector(d, residue))
         return gens
@@ -344,17 +306,14 @@ class GradedModuleSpan:
         src = self._span(d)
         tgt = self._span(d + 1)
         nrows, ncols = tgt.rank, src.rank
-        if self.field.is_prime_field:
-            M = np.zeros((nrows, ncols), dtype=np.int64)
-        else:
-            M = [[self.field.zero()] * ncols for _ in range(nrows)]
+        M = [[self.field.zero()] * ncols for _ in range(nrows)]
         for c, row in enumerate(src.rows):
             p = self.ambient.from_vector(d, row)
             img = self.ambient.nf(p.term_mul(tuple(1 if a == i else 0 for a in range(self.n)), self.field.one(), None))
             if not img:
                 continue
             vec = self.ambient.to_vector(img, d + 1)
-            if any(not self.field.is_zero(x) for x in tgt.reduce(list(vec))):
+            if not tgt.contains(vec):
                 raise AssertionError("submodule span is not closed under multiplication")
             for r, piv in enumerate(tgt.pivots):
                 M[r][c] = vec[piv]
@@ -373,8 +332,6 @@ class GradedMap:
         self.matrix = matrix
 
     def shape(self) -> tuple[int, int]:
-        if isinstance(self.matrix, np.ndarray):
-            return self.matrix.shape
         return (len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
 
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import BoundTooSmall
 from .fields import QQ
 from .groebner import aci_ideal, squares_ideal
@@ -177,15 +175,10 @@ def ci_differential(module: QuotientRing, U: Sequence[int], i: int, j: int):
     for t in range(n):
         M = module.variable_map(t, j - i)
         cols = [[] for _ in range(h_src)]
-        if field.is_prime_field:
-            rr, cc = np.nonzero(M)
-            for r, c in zip(rr.tolist(), cc.tolist()):
-                cols[c].append((r, int(M[r, c])))
-        else:
-            for r, row in enumerate(M):
-                for c, v in enumerate(row):
-                    if v != 0:
-                        cols[c].append((r, v))
+        for r, row in enumerate(M):
+            for c, v in enumerate(row):
+                if v != 0:
+                    cols[c].append((r, v))
         var_cols.append(cols)
 
     def emit(col, tgt_gen_idx, t, negative):
@@ -306,11 +299,7 @@ class _FreeElement:
 def _element_vector(base: QuotientRing, degs, elem: _FreeElement, j: int):
     vec = []
     for a, p in zip(degs, elem.parts):
-        block = base.to_vector(p, j - a) if j - a >= 0 else []
-        if base.field.is_prime_field:
-            vec.extend(int(x) for x in block)
-        else:
-            vec.extend(block)
+        vec.extend(base.to_vector(p, j - a) if j - a >= 0 else [])
     return vec
 
 
@@ -441,16 +430,11 @@ def syzygy_betti_from_gens(
             if width == 0:
                 continue
             # matrix with our columns: transpose of the stacked rows
-            if field.is_prime_field:
-                M = np.array(cols, dtype=np.int64).T
-            else:
-                M = [[cols[c][r] for c in range(len(cols))] for r in range(width)]
+            M = [[cols[c][r] for c in range(len(cols))] for r in range(width)]
             ker = kernel_basis(M, field, ncols=len(cols))
             for kv in ker:
                 parts = [Polynomial.zero(base.n, field) for _ in mingens]
                 for (gi, m), c in zip(col_meta, kv):
-                    if field.is_prime_field:
-                        c = int(c) % field.characteristic
                     if field.is_zero(c):
                         continue
                     parts[gi] = parts[gi] + Polynomial.monomial(base.n, field, m, c)

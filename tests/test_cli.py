@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 import aciring
+from aciring import cache
 from aciring.cache import cache_dir
 from aciring.cli import main
 from aciring.verify import CheckRecord, VerificationReport
@@ -301,6 +302,24 @@ def test_cached_json_is_byte_identical(capsys):
     _, first, _ = run_cli(capsys, "betti", "--ring", "R", "--n", "3", "--format", "json")
     _, second, _ = run_cli(capsys, "betti", "--ring", "R", "--n", "3", "--format", "json")
     assert first == second
+
+
+def test_cache_key_depends_on_package_sources(monkeypatch):
+    key = cache.cache_key("hilbert", ns=[5])
+    monkeypatch.setattr(cache, "_source_digest", lambda: "0" * 64)
+    assert cache.cache_key("hilbert", ns=[5]) != key
+
+
+def test_unwritable_cache_computes_without_it(capsys, monkeypatch, tmp_path):
+    # the cache directory is a regular file: lookup misses, store fails, and
+    # the command still answers
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    monkeypatch.setenv("ACIRING_CACHE_DIR", str(blocker))
+    code, out, err = run_cli(capsys, "hilbert", "--ring", "R", "--n", "5")
+    assert (code, out) == (0, "1 5 9 5\n")
+    assert "not cached" in err
+    assert blocker.read_text() == "not a directory"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Exact rank / kernel / determinant routines against slow reference code."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,16 +12,21 @@ from aciring import linalg
 from aciring.fields import GF, MAX_PRIME, QQ
 from aciring.linalg import (
     Echelon,
+    gf_matmul,
     gf_rank,
     int_det_bareiss,
     kernel_basis,
     matmul,
     qq_rank,
-    rref,
     sparse_rank,
 )
 
 from _oracle import fraction_det, fraction_rank, gf_rank_slow
+
+
+# QQ and the prime fields the kernel and echelon tests run over
+FIELD_CHARS = [0, 2, 3, 101, 32003]
+FIELD_IDS = ["QQ" if p == 0 else f"GF{p}" for p in FIELD_CHARS]
 
 
 def _random_fraction_matrix(rng, nrows, ncols, density=0.6):
@@ -68,6 +75,16 @@ def test_gf_rank_matches_oracle():
     assert gf_rank(A.copy(), p) == gf_rank_slow(A.tolist(), p) == 100
 
 
+def test_gf_kernels_refuse_primes_above_the_bound():
+    # at p = 2^31 - 1, gf_rank used to return rank 200 for a 200x200 matrix of rank 150
+    p = 2**31 - 1
+    A = np.arange(12, dtype=np.int64).reshape(3, 4)
+    with pytest.raises(ValueError, match="exceeds"):
+        gf_rank(A.copy(), p)
+    with pytest.raises(ValueError, match="exceeds"):
+        gf_matmul(A, A.T.copy(), p)
+
+
 def test_sparse_rank_matches_dense_both_fields():
     rng = random.Random(13)
     for trial in range(120):
@@ -92,7 +109,11 @@ def test_sparse_rank_matches_dense_both_fields():
             # to land in integers, then reduce mod p; rank is unchanged
             gf_rows = {r: {c: int(v * 12) % p for c, v in cs.items()} for r, cs in rows.items()}
             dense_p = [[gf_rows.get(r, {}).get(c, 0) for c in range(ncols)] for r in range(nrows)]
+            # the same matrix off by multiples of p, some entries negative and
+            # the stored zeros now nonzero multiples of p: sparse_rank reduces them
+            shifted = {r: {c: v + (c % 3 - 1) * p for c, v in cs.items()} for r, cs in gf_rows.items()}
             assert sparse_rank(gf_rows, nrows, ncols, GF(p)) == gf_rank_slow(dense_p, p)
+            assert sparse_rank(shifted, nrows, ncols, GF(p)) == gf_rank_slow(dense_p, p)
 
 
 def _sparse_mod_p(rng, nrows, ncols, per_row, p):
@@ -168,7 +189,10 @@ def test_rref_shape_and_pivots():
         [Fraction(1), Fraction(1), Fraction(1)],
         [Fraction(1), Fraction(3), Fraction(5)],
     ]
-    pivots, rows = rref([row[:] for row in M], QQ)
+    ech = Echelon(QQ, 3)
+    for row in M:
+        ech.insert(row)
+    pivots, rows = ech.pivots, ech.rows
     assert pivots == [0, 1]
     # each pivot column is a unit vector across the reduced rows
     for k, c in enumerate(pivots):
@@ -176,15 +200,29 @@ def test_rref_shape_and_pivots():
         assert all(rows[other][c] == 0 for other in range(len(rows)) if other != k)
 
 
-def test_kernel_basis_rank_nullity():
+@pytest.mark.parametrize("p", FIELD_CHARS, ids=FIELD_IDS)
+def test_kernel_basis_rank_nullity(p):
     rng = random.Random(15)
-    for _ in range(25):
+    for trial in range(25):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
-        M = _random_fraction_matrix(rng, nrows, ncols)
-        ker = kernel_basis([row[:] for row in M], QQ, ncols)
-        assert len(ker) == ncols - fraction_rank(M)
-        for v in ker:  # every kernel vector actually annihilates M
-            assert all(sum(row[c] * v[c] for c in range(ncols)) == 0 for row in M)
+        if p:
+            # negative entries and entries >= p, and every third matrix gets a
+            # row that is 3 times the first one mod p
+            M = [[rng.randint(-2 * p, 2 * p) if rng.random() < 0.6 else 0 for _ in range(ncols)] for _ in range(nrows)]
+            if trial % 3 == 0:
+                M.append([3 * x + p for x in M[0]])
+            field, nullity = GF(p), ncols - gf_rank_slow(M, p)
+        else:
+            M = _random_fraction_matrix(rng, nrows, ncols)
+            field, nullity = QQ, ncols - fraction_rank(M)
+        ker = kernel_basis([row[:] for row in M], field, ncols)
+        assert len(ker) == nullity
+        for v in ker:  # every kernel vector actually annihilates M (mod p)
+            for row in M:
+                dot = sum(row[c] * v[c] for c in range(ncols))
+                assert (dot % p if p else dot) == 0
+            if p:
+                assert all(0 <= x < p for x in v)
 
 
 def test_matmul_qq_and_gf():
@@ -192,15 +230,44 @@ def test_matmul_qq_and_gf():
     B = [[Fraction(3)], [Fraction(-1, 2)]]
     assert matmul(A, B, QQ) == [[Fraction(2)], [Fraction(-1, 2)]]
     p = 7
-    Ap = np.array([[1, 2], [0, 1]], dtype=np.int64)
-    Bp = np.array([[3], [6]], dtype=np.int64)
-    assert matmul(Ap, Bp, GF(p)).tolist() == [[(3 + 12) % 7], [6]]
+    Ap = [[1, 2], [0, 1]]
+    Bp = [[3], [6]]
+    assert matmul(Ap, Bp, GF(p)) == [[(3 + 12) % 7], [6]]
 
 
-def test_echelon_insert_reports_dependence():
-    ech = Echelon(QQ, 3)
-    assert ech.insert([Fraction(1), Fraction(1), Fraction(0)]) is not None
-    assert ech.insert([Fraction(0), Fraction(1), Fraction(1)]) is not None
+@pytest.mark.parametrize("p", FIELD_CHARS, ids=FIELD_IDS)
+def test_echelon_insert_reports_dependence(p):
+    def vec(*xs):
+        # over GF(p) the entries are off by multiples of p, one of them negative
+        return [x + (-1) ** j * j * p for j, x in enumerate(xs)] if p else [Fraction(x) for x in xs]
+
+    ech = Echelon(GF(p) if p else QQ, 3)
+    assert ech.insert(vec(1, 1, 0)) is not None
+    assert ech.insert(vec(0, 1, 1)) is not None
     # dependent on the first two
-    assert ech.insert([Fraction(1), Fraction(2), Fraction(1)]) is None
-    assert ech.insert([Fraction(0), Fraction(0), Fraction(5)]) is not None
+    assert ech.insert(vec(1, 2, 1)) is None
+    assert ech.insert(vec(0, 0, 5)) is not None
+    if p:
+        assert ech.rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert ech.contains(vec(p, -p, 2 * p))
+
+
+def test_only_linalg_knows_the_matrix_format():
+    # outside linalg every matrix is a list of rows of field elements, so no
+    # other module imports numpy or asks which field it is working over
+    offenders = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                offenders.append(f"{path.name}:{node.lineno} imports numpy")
+            if isinstance(node, ast.Attribute) and node.attr == "is_prime_field":
+                offenders.append(f"{path.name}:{node.lineno} tests is_prime_field")
+    assert offenders == []
