@@ -13,7 +13,7 @@ gorenstein  Generators of the Gorenstein ideal, predicted vs computed
 verify      Run a named verification suite and report PASS/FAIL per check.
 
 Exit codes: 0 success / all checks pass, 1 verification or cross-check
-failure, 2 usage error, 3 resource cap exceeded.
+failure, 2 usage error, 3 resource cap exceeded, 4 internal failure.
 
 Results of the compute subcommands are cached as JSON under the directory
 named by the ``ACIRING_CACHE_DIR`` environment variable (defaulting to the
@@ -29,7 +29,7 @@ import sys
 
 from . import __version__
 from .cache import cache_key, lookup, store
-from .errors import AciringError
+from .errors import AciringError, DegreeCapExceeded, ExponentCapExceeded
 from .fields import MAX_PRIME, QQ, default_characteristic, field_for_char, is_prime
 from .formulas import betti_table_formula, ell, gamma_sequence, hilbert_formula, rho_sequence
 from .gorenstein import (
@@ -40,7 +40,7 @@ from .gorenstein import (
     predicted_initial_ideal,
     slp_check_A,
 )
-from .groebner import buchberger
+from .groebner import groebner_basis
 from .poly import _format_mono, format_poly
 from .quotient import hilbert_function
 from .resolution import BettiTable, koszul_betti, named_quotient
@@ -384,7 +384,7 @@ def cmd_sequence(args, parser) -> tuple[str, int]:
 def _gorenstein_result(n: int, characteristic: int) -> dict:
     field = field_for_char(characteristic)
     gens = G_from_orbit(n, field)
-    gb = buchberger(gens)
+    gb = groebner_basis(gens)
     computed = gb.initial_ideal()
     predicted = predicted_initial_ideal(n)
     dets = [str(hessian(n, i, QQ).determinant_at_ones()) for i in range(ell(n) + 1)]
@@ -478,12 +478,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text, code = _DISPATCH[args.command](args, parser)
-    except AciringError as exc:
+    except (DegreeCapExceeded, ExponentCapExceeded) as exc:
         print(f"error: resource cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        if isinstance(exc, ValueError) and not isinstance(exc, AciringError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # the package's own errors and failed assertions are bugs, not bad input
+        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     _emit(text, args)
     return code
 

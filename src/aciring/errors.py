@@ -23,11 +23,11 @@ class ExponentCapExceeded(AciringError, ValueError):
 
 
 class DegreeCapExceeded(AciringError, RuntimeError):
-    """Completing a Groebner basis would require work above the degree cap."""
+    """An answer needs a graded piece above the degree cap."""
 
     def __init__(self, cap, message=None):
         self.cap = cap
-        super().__init__(message or f"S-pair above degree cap {cap} remains unprocessed")
+        super().__init__(message or f"the answer needs degrees above the cap {cap}")
 
 
 class BoundTooSmall(AciringError, RuntimeError):

@@ -77,7 +77,7 @@ def g_identity_check(n: int, field: Field = QQ) -> bool:
     zero against the variable squares."""
     product = g_polynomial(n, field).mul(squared_variable_sum(n, field), None)
     # the squares have pairwise coprime leading terms, so plain reduction decides
-    return not normal_form(product, squares_ideal(n, field), None)
+    return not normal_form(product, squares_ideal(n, field))
 
 
 def ballot_sequences(n: int) -> list[BallotSequence]:

@@ -1,14 +1,16 @@
-"""Buchberger's algorithm, normal forms and monomial ideals.
+"""Gröbner bases, polynomial division and monomial ideals.
 
-Everything is in the graded reverse lexicographic order with x1 > x2 > ...;
-for homogeneous input a degree-capped run still yields a basis that is
-complete through the cap, because S-pairs are processed by increasing lcm
-degree and a new basis element never creates a pair of smaller degree.
+Everything is in the graded reverse lexicographic order with x1 > x2 > ....
+``groebner_basis`` reads the reduced basis of a homogeneous ideal off the
+reduced echelon forms that :class:`.quotient.QuotientRing` keeps in every
+degree (the Macaulay-matrix view of Gröbner bases).  Polynomial division,
+S-polynomials and the Buchberger criterion stay here as an independent
+certificate: ``is_groebner_basis`` checks a basis without knowing how it
+was found.
 """
 
 from __future__ import annotations
 
-import heapq
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -17,12 +19,11 @@ from .fields import Field
 from .poly import (
     Mono,
     Polynomial,
-    mono_deg,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
-    monomials_of_degree,
+    mono_one,
     revlex_key,
     squared_variable_sum,
 )
@@ -32,7 +33,7 @@ from .poly import (
 # ----------------------------------------------------------------------
 
 
-def normal_form(f: Polynomial, basis, exponent_cap: int | None = None) -> Polynomial:
+def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f under division by the listed polynomials.
 
     Divisors are tried in listed order.  The remainder has no term divisible
@@ -55,14 +56,14 @@ def normal_form(f: Polynomial, basis, exponent_cap: int | None = None) -> Polyno
             h = h - Polynomial.monomial(h.n, field, lm, lc)
         else:
             c = field.div(lc, hit.lc)
-            h = h - hit.term_mul(mono_div(lm, hit.lm), c, exponent_cap)
+            h = h - hit.term_mul(mono_div(lm, hit.lm), c, None)
     return Polynomial(f.n, field, rem_terms, _sorted=True)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, exponent_cap: int | None = None) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     L = mono_lcm(f.lm, g.lm)
-    a = f.term_mul(mono_div(L, f.lm), f.field.inv(f.lc), exponent_cap)
-    b = g.term_mul(mono_div(L, g.lm), g.field.inv(g.lc), exponent_cap)
+    a = f.term_mul(mono_div(L, f.lm), f.field.inv(f.lc), None)
+    b = g.term_mul(mono_div(L, g.lm), g.field.inv(g.lc), None)
     return a - b
 
 
@@ -89,13 +90,15 @@ class MonomialIdeal:
         return any(mono_divides(g, m) for g in self.gens)
 
     def standard_monomials(self, d: int) -> list[Mono]:
-        """Monomials of degree d outside the ideal, in descending order."""
-        out = [m for m in monomials_of_degree(self.n, d) if not self.contains(m)]
-        out.sort(key=revlex_key, reverse=True)
-        return out
+        """Monomials of degree d outside the ideal, in descending order.
 
-    def standard_count(self, d: int) -> int:
-        return sum(1 for m in monomials_of_degree(self.n, d) if not self.contains(m))
+        Grown one degree at a time: every divisor of a monomial outside the
+        ideal is outside it too.
+        """
+        layer = [mono_one(self.n)]
+        for _ in range(d):
+            layer = {m[:k] + (m[k] + 1,) + m[k + 1:] for m in layer if not self.contains(m) for k in range(self.n)}
+        return sorted((m for m in layer if not self.contains(m)), key=revlex_key, reverse=True)
 
     def __eq__(self, other):
         return isinstance(other, MonomialIdeal) and self.n == other.n and self.gens == other.gens
@@ -116,7 +119,7 @@ class MonomialIdeal:
 
 
 class GroebnerBasis:
-    """An interreduced basis, possibly only complete through a degree cap.
+    """A reduced basis, possibly only complete through a degree cap.
 
     When ``truncated_at`` is an integer D, the basis decides membership and
     initial-ideal questions for homogeneous elements of degree <= D only;
@@ -142,12 +145,9 @@ class GroebnerBasis:
                 f"basis is only complete through degree {self.truncated_at}, asked about degree {degree}",
             )
 
-    def normal_form(self, f: Polynomial, exponent_cap: int | None = None) -> Polynomial:
+    def normal_form(self, f: Polynomial) -> Polynomial:
         self._guard(f.degree)
-        return normal_form(f, self, exponent_cap)
-
-    def contains(self, f: Polynomial) -> bool:
-        return not f or not self.normal_form(f)
+        return normal_form(f, self)
 
     def initial_ideal(self, through_degree: int | None = None) -> MonomialIdeal:
         if through_degree is not None:
@@ -176,97 +176,41 @@ class GroebnerBasis:
         return f"GroebnerBasis(n={self.n}, {len(self.polys)} elements{trunc})"
 
 
-def interreduce(polys: Iterable[Polynomial], exponent_cap: int | None = None) -> list[Polynomial]:
-    """Fully interreduced monic generating set of the same ideal.
-
-    Repeated left-to-right reduction passes in ascending leading-monomial
-    order; an element whose lead cancels re-enters at its new position on
-    the next pass, so nothing is discarded until it genuinely reduces to
-    zero.  At the fixpoint no term of any element is divisible by the
-    leading monomial of another.
-    """
-    work = [g.monic() for g in polys if g]
-    while True:
-        work.sort(key=lambda g: revlex_key(g.lm))
-        passed: list[Polynomial] = []
-        changed = False
-        for g in work:
-            r = normal_form(g, passed, exponent_cap)
-            if not r:
-                changed = True
-                continue
-            r = r.monic()
-            if r != g:
-                changed = True
-            passed.append(r)
-        work = passed
-        if not changed:
-            return work
-
-
-def buchberger(
+def groebner_basis(
     generators: Sequence[Polynomial],
     *,
-    degree_cap: int | None = None,
-    exponent_cap: int | None = None,
-    strict: bool = True,
     n: int | None = None,
     field: Field | None = None,
+    degree_cap: int | None = None,
 ) -> GroebnerBasis:
-    """Gröbner basis of the given generators.
+    """The reduced Gröbner basis of a homogeneous ideal, read off its quotient ring.
 
-    With a degree_cap, pairs whose lcm exceeds the cap are either an error
-    (strict) or dropped, in which case the result is marked truncated.
+    The minimal generators of in(I) are among the leading monomials of the
+    ring's base and the pivots of its echelon forms; each one, m, gives the
+    element m - nf(m).  The basis is complete once the Hilbert function
+    reaches zero.  If the degree cap comes first, it is truncated at the cap
+    unless the ring is complete there anyway (``QuotientRing.is_complete``).
+    A non-Artinian ideal needs a cap.
     """
-    gens = [g for g in generators if g]
-    if not gens:
-        if n is None or field is None:
-            raise ValueError("zero ideal needs explicit n and field")
-        return GroebnerBasis(n, field, ())
-    n = gens[0].n
-    field = gens[0].field
+    from .quotient import QuotientRing  # quotient builds on this module
 
-    basis = interreduce(gens, exponent_cap)
-    heap: list = []
-    counter = 0
-
-    def push_pair(i: int, j: int):
-        nonlocal counter
-        lmi, lmj = basis[i].lm, basis[j].lm
-        L = mono_lcm(lmi, lmj)
-        if L == mono_mul(lmi, lmj, None):  # coprime leading monomials
-            return
-        heapq.heappush(heap, (mono_deg(L), revlex_key(L), counter, i, j))
-        counter += 1
-
-    for i, j in combinations(range(len(basis)), 2):
-        push_pair(i, j)
-
-    truncated = None
-    while heap:
-        d, _, _, i, j = heapq.heappop(heap)
-        if degree_cap is not None and d > degree_cap:
-            if strict:
-                raise DegreeCapExceeded(degree_cap, f"S-pair of degree {d} exceeds the Buchberger cap")
-            truncated = degree_cap
-            break  # heap is ordered by degree: everything left is past the cap
-        s = normal_form(s_polynomial(basis[i], basis[j], exponent_cap), basis, exponent_cap)
-        if s:
-            basis.append(s.monic())
-            t = len(basis) - 1
-            for i2 in range(t):
-                push_pair(i2, t)
-
-    return GroebnerBasis(n, field, interreduce(basis, exponent_cap), truncated)
+    ring = QuotientRing(generators, n=n, field=field, degree_cap=degree_cap)
+    if degree_cap is None and not ring.is_artinian:
+        raise ValueError("the Gröbner basis of a non-Artinian ideal needs a degree cap")
+    d = 0
+    while d != degree_cap and ring.hilbert_function(d):
+        d += 1
+    leads = [Polynomial.monomial(ring.n, ring.field, m) for m in ring.initial_generators(d)]
+    return GroebnerBasis(ring.n, ring.field, [m - ring.nf(m) for m in leads], None if ring.is_complete else degree_cap)
 
 
-def is_groebner_basis(polys: Sequence[Polynomial], exponent_cap: int | None = None) -> bool:
+def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
     """Check the Buchberger criterion directly: every S-polynomial reduces to zero."""
     gens = [g for g in polys if g]
     for f, g in combinations(gens, 2):
         if mono_lcm(f.lm, g.lm) == mono_mul(f.lm, g.lm, None):
             continue
-        if normal_form(s_polynomial(f, g, exponent_cap), gens, exponent_cap):
+        if normal_form(s_polynomial(f, g), gens):
             return False
     return True
 
@@ -276,16 +220,15 @@ def ideal_equal(
     gens_b: Sequence[Polynomial],
     *,
     degree_bound: int | None = None,
-    exponent_cap: int | None = None,
 ) -> bool:
-    """Equality of two homogeneous ideals by mutual membership.
+    """Equality of two homogeneous ideals by mutual membership of the generators.
 
-    Both Gröbner bases are computed through ``degree_bound`` (default 2n),
-    which must be at least the top generator degree.  Reducing every
-    generator of one ideal against the other basis (and vice versa) proves
-    containment both ways; the truncated initial ideals are also compared,
-    which equality forces.
+    Each generator of one ideal is reduced against the other ideal's echelon
+    form in its own degree.  ``degree_bound`` (default 2n) must be at least
+    the top generator degree.
     """
+    from .quotient import QuotientRing  # quotient builds on this module
+
     a = [g for g in gens_a if g]
     b = [g for g in gens_b if g]
     if not a or not b:
@@ -295,13 +238,8 @@ def ideal_equal(
     top = max(g.degree for g in a + b)
     if top > degree_bound:
         raise DegreeCapExceeded(degree_bound, f"generator of degree {top} exceeds the comparison bound")
-    gb_a = buchberger(a, degree_cap=degree_bound, exponent_cap=exponent_cap, strict=False)
-    gb_b = buchberger(b, degree_cap=degree_bound, exponent_cap=exponent_cap, strict=False)
-    if any(gb_b.normal_form(g) for g in a):
-        return False
-    if any(gb_a.normal_form(g) for g in b):
-        return False
-    return gb_a.initial_ideal(degree_bound) == gb_b.initial_ideal(degree_bound)
+    ring_a, ring_b = QuotientRing(a), QuotientRing(b)
+    return not any(ring_b.nf(g) for g in a) and not any(ring_a.nf(g) for g in b)
 
 
 # ----------------------------------------------------------------------

@@ -151,10 +151,6 @@ class Polynomial:
         return cls(n, field, ((tuple(m), field.one() if c is None else c),), _sorted=True)
 
     # -- term access ------------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def lt(self):
         """Leading (monomial, coefficient) pair, or None for the zero polynomial."""
         return self.terms[0] if self.terms else None
@@ -241,7 +237,7 @@ class Polynomial:
         return result
 
     def monic(self) -> "Polynomial":
-        if self.is_zero:
+        if not self.terms:
             return self
         return self.scale(self.field.inv(self.lc))
 
@@ -255,12 +251,6 @@ class Polynomial:
                     e[sigma[i]] += exp
             out.append((tuple(e), c))
         return Polynomial(self.n, self.field, out)
-
-    def coefficient(self, m: Mono):
-        for mm, cc in self.terms:
-            if mm == m:
-                return cc
-        return self.field.zero()
 
     # -- dunder plumbing ----------------------------------------------------
     def __eq__(self, other):
@@ -481,23 +471,9 @@ class DividedPowerForm:
         self.field = field
         self.terms = tuple(items)
 
-    @classmethod
-    def zero(cls, n: int, field: Field) -> "DividedPowerForm":
-        return cls(n, field, ())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def degree(self) -> int:
         return sum(self.terms[0][0]) if self.terms else -1
-
-    def coefficient(self, m: Mono):
-        for mm, cc in self.terms:
-            if mm == m:
-                return cc
-        return self.field.zero()
 
     def evaluate_at_ones(self):
         """Sum of the coefficients, i.e. the value at y1 = ... = yn = 1."""

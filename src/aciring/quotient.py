@@ -1,25 +1,34 @@
-"""Graded quotients of the polynomial ring, degree by degree.
+"""Graded quotients of the polynomial ring, one reduced echelon form per degree.
 
-A QuotientRing owns a Gröbner basis and exposes the graded pieces through
-standard monomials: Hilbert function, coordinate vectors, multiplication
-maps as matrices, socle, and annihilators of elements.  Rings built with a
-degree cap answer only up to the cap and raise beyond it.
+The base B of an ideal I is its single-term generators plus each generator
+whose leading monomial is coprime to the rest of B: a Gröbner basis by
+Buchberger's first criterion, so reducing modulo B needs no elimination
+(for P, R and A, B is the squares).  In degree d the columns are the
+monomials outside in(B), in descending grevlex order, and I_d modulo B is
+kept in reduced echelon form over them, built from x_k times the rows of
+degree d-1 and the degree-d generators.  The pivots are in(I)_d outside
+in(B), the other columns are the standard monomials, and reducing against
+the form gives normal forms: the Macaulay-matrix view of Gröbner bases
+(Lazard, EUROCAL '83; Faugère's F4, JPAA 139, 1999).  A degree cap stops
+the elimination; see ``QuotientRing.is_complete``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import DegreeCapExceeded
 from .fields import Field
-from .groebner import GroebnerBasis, buchberger
-from .linalg import Echelon, kernel_basis, rank
+from .groebner import MonomialIdeal
+from .linalg import Echelon, kernel_basis, matmul, rank
 from .linalg import gf_matmul  # noqa: F401  bench/tests/test_bench.py dereferences quotient.gf_matmul
-from .poly import Mono, Polynomial, mono_deg
+from .poly import Mono, Polynomial, mono_deg, mono_div, mono_divides, mono_mul
 
 
 class QuotientRing:
-    """k[x1..xn] modulo a homogeneous ideal, presented by its Gröbner basis."""
+    """k[x1..xn] modulo a homogeneous ideal, one reduced echelon form per degree."""
 
     def __init__(
         self,
@@ -28,58 +37,142 @@ class QuotientRing:
         n: int | None = None,
         field: Field | None = None,
         degree_cap: int | None = None,
-        exponent_cap: int | None = None,
-        gb: GroebnerBasis | None = None,
         name: str = "",
     ):
-        if gb is None:
-            gb = buchberger(
-                generators,
-                degree_cap=degree_cap,
-                exponent_cap=exponent_cap,
-                strict=False,
-                n=n,
-                field=field,
-            )
-        self.gb = gb
-        self.n = gb.n
-        self.field = gb.field
+        gens = [g for g in generators if g]
+        if gens:
+            n, field = gens[0].n, gens[0].field
+        elif n is None or field is None:
+            raise ValueError("zero ideal needs explicit n and field")
+        if any(mono_deg(m) != g.degree for g in gens for m, _ in g.terms):
+            raise ValueError("a quotient ring needs homogeneous generators")
+        self.n = n
+        self.field = field
         self.name = name
         self.generators = tuple(generators)
+        self.degree_cap = degree_cap
+        self._base: list[Polynomial] = []
+        self._relations: list[Polynomial] = []
+        for g in sorted(gens, key=lambda g: len(g.terms) > 1):  # single terms first
+            if len(g.terms) == 1 or all(not any(map(min, g.lm, b.lm)) for b in self._base):
+                self._base.append(g.monic())
+            else:
+                self._relations.append(g)
+        self.base_leads = MonomialIdeal(n, [b.lm for b in self._base])
+        self._top_degree = max((g.degree for g in gens), default=1)
+        self._columns: dict[int, dict[Mono, int]] = {}
+        self._base_nf_cache: dict[Mono, list] = {}
+        self._forms: dict[int, Echelon] = {}
         self._basis_cache: dict[int, tuple[Mono, ...]] = {}
-        self._index_cache: dict[int, dict[Mono, int]] = {}
         self._varmap_cache: dict[tuple[int, int], object] = {}
+
+    # -- the echelon forms -------------------------------------------------
+
+    def _column_index(self, d: int) -> dict[Mono, int]:
+        """The monomials of degree d outside in(B), in descending order, with their positions."""
+        if d not in self._columns:
+            cols = self.base_leads.standard_monomials(d) if d >= 0 else ()
+            self._columns[d] = {m: j for j, m in enumerate(cols)}
+        return self._columns[d]
+
+    def _base_nf(self, m: Mono) -> list:
+        """The monomial m modulo B, as (column, coefficient) pairs in its degree."""
+        if m not in self._base_nf_cache:
+            index = self._column_index(mono_deg(m))
+            if m in index:
+                out = [(index[m], self.field.one())]
+            else:
+                # m = q * lead(b) with b monic: m is -q * tail(b), whose terms are smaller
+                b = next(b for b in self._base if mono_divides(b.lm, m))
+                q = mono_div(m, b.lm)
+                acc: dict = {}
+                for t, c in b.terms[1:]:
+                    for j, c2 in self._base_nf(mono_mul(q, t, None)):
+                        acc[j] = acc.get(j, 0) - c * c2
+                out = list(acc.items())
+            self._base_nf_cache[m] = out
+        return self._base_nf_cache[m]
+
+    def _vector(self, d: int, terms) -> list:
+        """A sum of degree-d terms modulo B, over the degree-d columns."""
+        vec = [self.field.zero()] * len(self._column_index(d))
+        for m, c in terms:
+            for j, c2 in self._base_nf(m):
+                vec[j] += c * c2
+        return vec
+
+    def _echelon(self, d: int) -> Echelon:
+        """I_d modulo B in reduced echelon form, over the degree-d columns."""
+        if d not in self._forms:
+            form = Echelon(self.field, len(self._column_index(d)))
+            if form.ncols and d > 0 and self._relations:
+                cap = self.degree_cap
+                if cap is not None and d > cap and not self.is_complete:
+                    raise DegreeCapExceeded(cap, f"basis is only complete through degree {cap}, asked about degree {d}")
+                below = list(self._column_index(d - 1))
+                products = (
+                    [(m[:k] + (m[k] + 1,) + m[k + 1:], c) for m, c in zip(below, row) if c]
+                    for row in self._echelon(d - 1).rows
+                    for k in range(self.n)
+                )
+                generators = (g.terms for g in self._relations if g.degree == d)
+                for terms in chain(generators, products):
+                    if form.rank == form.ncols:
+                        break
+                    form.insert(self._vector(d, terms))
+            self._forms[d] = form
+        return self._forms[d]
+
+    def _reduce(self, d: int, terms) -> list:
+        """Coordinates in ``basis(d)`` of the normal form of a sum of degree-d terms."""
+        index = self._column_index(d)
+        v = self._echelon(d).reduce(self._vector(d, terms))
+        return [v[index[m]] for m in self.basis(d)]
+
+    def initial_generators(self, through: int) -> tuple[Mono, ...]:
+        """Minimal generators of in(I): those of in(B), and the pivots through the given degree."""
+        leads = list(self.base_leads.gens)
+        for d in range(through + 1):
+            columns = list(self._column_index(d))
+            leads += [columns[j] for j in self._echelon(d).pivots]
+        return MonomialIdeal(self.n, leads).gens
+
+    @cached_property
+    def is_complete(self) -> bool:
+        """Whether degrees above the cap can be answered too.
+
+        By Buchberger's criterion they can when the Gröbner basis through
+        the cap is complete: no generator lies above the cap, and any two
+        leading monomials whose lcm does are coprime.
+        """
+        cap = self.degree_cap
+        if cap is None or not self._relations:
+            return True
+        if cap < 0 or any(g.degree > cap for g in self._relations):
+            return False
+        leads = self.initial_generators(cap)
+        return all(sum(map(max, a, b)) <= cap or not any(map(min, a, b)) for a, b in combinations(leads, 2))
 
     # -- graded pieces -------------------------------------------------
 
     @property
-    def degree_cap(self) -> int | None:
-        return self.gb.truncated_at
-
-    @property
     def is_artinian(self) -> bool:
-        """Whether every variable is nilpotent, judged from the leading terms."""
-        lead = [g.lm for g in self.gb.polys]
-        for i in range(self.n):
-            if not any(sum(m) == m[i] and m[i] > 0 for m in lead):
-                if self.gb.is_complete:
-                    return False
-                raise DegreeCapExceeded(self.gb.truncated_at, "cannot decide Artinian from a truncated basis")
-        return True
+        """Whether Q/I is finite dimensional.
+
+        Yes when in(B) holds a power of every variable.  Otherwise the
+        Hilbert function decides: an Artinian ideal generated in degrees
+        <= D has socle degree <= n(D-1), so it vanishes by degree n(D-1)+1.
+        """
+        if all(any(sum(m) == m[i] for m in self.base_leads.gens) for i in range(self.n)):
+            return True
+        return any(self.hilbert_function(d) == 0 for d in range(self.n * (self._top_degree - 1) + 2))
 
     def basis(self, d: int) -> tuple[Mono, ...]:
         """Standard monomials of degree d, in descending grevlex order."""
         if d not in self._basis_cache:
-            if d < 0:
-                self._basis_cache[d] = ()
-            else:
-                self._basis_cache[d] = tuple(self.gb.standard_monomials(d))
+            pivots = set(self._echelon(d).pivots)
+            self._basis_cache[d] = tuple(m for m, j in self._column_index(d).items() if j not in pivots)
         return self._basis_cache[d]
-
-    def index(self, d: int) -> dict[Mono, int]:
-        if d not in self._index_cache:
-            self._index_cache[d] = {m: i for i, m in enumerate(self.basis(d))}
-        return self._index_cache[d]
 
     def hilbert_function(self, d: int) -> int:
         return len(self.basis(d))
@@ -96,13 +189,9 @@ class QuotientRing:
         if not self.is_artinian:
             raise ValueError("hilbert_series of a non-Artinian ring needs `through`")
         out = []
-        d = 0
-        while True:
-            h = self.hilbert_function(d)
-            if h == 0:
-                return out
+        while h := self.hilbert_function(len(out)):
             out.append(h)
-            d += 1
+        return out
 
     def socle_degree(self) -> int:
         return len(self.hilbert_series()) - 1
@@ -110,22 +199,20 @@ class QuotientRing:
     # -- elements --------------------------------------------------------
 
     def nf(self, f: Polynomial) -> Polynomial:
-        return self.gb.normal_form(f)
+        """Normal form of f, one homogeneous component at a time."""
+        by_degree: dict[int, list] = {}
+        for m, c in f.terms:
+            by_degree.setdefault(mono_deg(m), []).append((m, c))
+        terms = []
+        for d, part in by_degree.items():  # descending, as f.terms is
+            terms.extend((m, c) for m, c in zip(self.basis(d), self._reduce(d, part)) if c)
+        return Polynomial(self.n, self.field, terms, _sorted=True)
 
-    def to_vector(self, f: Polynomial, d: int | None = None):
+    def to_vector(self, f: Polynomial, d: int):
         """Coordinates of nf(f) in the degree-d standard monomial basis."""
-        r = self.nf(f)
-        if d is None:
-            d = r.degree
-            if d < 0:
-                raise ValueError("zero element needs an explicit degree")
-        idx = self.index(d)
-        v = [self.field.zero()] * len(idx)
-        for m, c in r.terms:
-            if mono_deg(m) != d:
-                raise ValueError("element is not homogeneous of the requested degree")
-            v[idx[m]] = c
-        return v
+        if any(mono_deg(m) != d for m, _ in f.terms):
+            raise ValueError("element is not homogeneous of the requested degree")
+        return self._reduce(d, f.terms)
 
     def from_vector(self, d: int, vec) -> Polynomial:
         terms = [(m, c) for m, c in zip(self.basis(d), vec) if c]
@@ -141,13 +228,13 @@ class QuotientRing:
         e = f.degree
         if e < 0:
             raise ValueError("multiplication by zero has no well-defined degree")
+        if any(mono_deg(m) != e for m, _ in f.terms):
+            raise ValueError("multiplication by an inhomogeneous element")
         src = self.basis(d)
-        tgt_idx = self.index(d + e)
-        M = [[self.field.zero()] * len(src) for _ in range(len(tgt_idx))]
+        M = [[self.field.zero()] * len(src) for _ in range(self.hilbert_function(d + e))]
         for j, m in enumerate(src):
-            img = self.nf(f.term_mul(m, self.field.one(), None))
-            for mm, c in img.terms:
-                M[tgt_idx[mm]][j] = c
+            for r, c in enumerate(self._reduce(d + e, [(mono_mul(t, m, None), c) for t, c in f.terms])):
+                M[r][j] = c
         return M
 
     def variable_map(self, i: int, d: int):
@@ -182,7 +269,6 @@ class QuotientRing:
         kernel vectors that the ideal generated so far does not already span.
         Multipliers for the span only need to run over standard monomials.
         """
-        e = f.degree
         if through_degree is None:
             if not self.is_artinian:
                 raise ValueError("annihilator in a non-Artinian ring needs through_degree")
@@ -198,10 +284,8 @@ class QuotientRing:
                 continue
             span = Echelon(self.field, hd)
             for g in gens:
-                for m in self.basis(d - g.degree):
-                    prod = self.nf(g.term_mul(m, self.field.one(), None))
-                    if prod:
-                        span.insert(self.to_vector(prod, d))
+                for col in zip(*self.multiplication_map(g, d - g.degree)):
+                    span.insert(col)
             if span.rank == len(ker):
                 continue  # ideal so far already fills the kernel
             for v in ker:
@@ -218,26 +302,19 @@ class QuotientRing:
         dimensions degree by degree decides equality.  Returns the verdict
         and rows (degree, dim ann, dim principal).
         """
-        xi_sq = Polynomial.monomial(self.n, self.field, tuple(2 if j == i else 0 for j in range(self.n)))
-        if self.nf(xi_sq):
+        xi = Polynomial.variable(self.n, self.field, i)
+        if self.nf(xi.mul(xi, None)):
             raise ValueError("variable_annihilator_is_principal expects x_i^2 to vanish in the ring")
-        top = self.socle_degree()
+        return self._annihilator_is_principal(xi)
+
+    def _annihilator_is_principal(self, v: Polynomial) -> tuple[bool, list[tuple[int, int, int]]]:
         rows = []
-        ok = True
-        prev_rank = 0
-        for d in range(top + 2):
-            hd = self.hilbert_function(d)
-            if hd == 0:
-                break
-            M = self.variable_map(i, d)
-            r = rank(M, self.field)
-            dim_ann = hd - r
-            dim_principal = prev_rank  # image of multiplication from degree d-1
-            rows.append((d, dim_ann, dim_principal))
-            if dim_ann != dim_principal:
-                ok = False
+        prev_rank = 0  # dim of the principal part: the image of multiplication from degree d-1
+        for d in range(self.socle_degree() + 1):
+            r = rank(self.multiplication_map(v, d), self.field)
+            rows.append((d, self.hilbert_function(d) - r, prev_rank))
             prev_rank = r
-        return ok, rows
+        return all(ann == principal for _, ann, principal in rows), rows
 
 
 def ring_of_polynomials(n: int, field: Field) -> QuotientRing:
@@ -267,13 +344,9 @@ class GradedModuleSpan:
             ech = Echelon(self.field, self.ambient.hilbert_function(d))
             if ech.ncols:
                 for g in self.generators:
-                    e = g.degree
-                    if e < 0 or e > d:
-                        continue
-                    for m in self.ambient.basis(d - e):
-                        prod = self.ambient.nf(g.term_mul(m, self.field.one(), None))
-                        if prod:
-                            ech.insert(self.ambient.to_vector(prod, d))
+                    if 0 <= g.degree <= d:
+                        for col in zip(*self.ambient.multiplication_map(g, d - g.degree)):
+                            ech.insert(col)
             self._span_cache[d] = ech
         return self._span_cache[d]
 
@@ -305,18 +378,13 @@ class GradedModuleSpan:
             return self._varmap_cache[key]
         src = self._span(d)
         tgt = self._span(d + 1)
-        nrows, ncols = tgt.rank, src.rank
-        M = [[self.field.zero()] * ncols for _ in range(nrows)]
-        for c, row in enumerate(src.rows):
-            p = self.ambient.from_vector(d, row)
-            img = self.ambient.nf(p.term_mul(tuple(1 if a == i else 0 for a in range(self.n)), self.field.one(), None))
-            if not img:
-                continue
-            vec = self.ambient.to_vector(img, d + 1)
-            if not tgt.contains(vec):
+        M = [[self.field.zero()] * src.rank for _ in range(tgt.rank)]
+        if src.rank and tgt.ncols:
+            # column c: x_i times source row c, in ambient coordinates
+            images = matmul(self.ambient.variable_map(i, d), [list(col) for col in zip(*src.rows)], self.field)
+            if not all(tgt.contains(col) for col in zip(*images)):
                 raise AssertionError("submodule span is not closed under multiplication")
-            for r, piv in enumerate(tgt.pivots):
-                M[r][c] = vec[piv]
+            M = [images[piv] for piv in tgt.pivots]
         self._varmap_cache[key] = M
         return M
 
@@ -404,17 +472,7 @@ def exact_zero_divisor_check(q: QuotientRing, v: Polynomial) -> bool:
     """
     if v.degree != 1:
         raise ValueError("expected a linear form")
-    if q.nf(v.mul(v, None)):
-        return False
-    top = q.socle_degree()
-    prev_rank = 0
-    for d in range(top + 2):
-        hd = q.hilbert_function(d)
-        r = rank(q.multiplication_map(v, d), q.field) if hd else 0
-        if hd - r != prev_rank:
-            return False
-        prev_rank = r
-    return True
+    return not q.nf(v.mul(v, None)) and q._annihilator_is_principal(v)[0]
 
 
 def regular_element_check(q: QuotientRing, v: Polynomial, degree_bound: int) -> bool:

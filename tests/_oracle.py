@@ -145,3 +145,26 @@ def standard_monomials_slow(lead_exponents, n: int, d: int) -> set:
         for m in all_monomials(n, d)
         if not any(divides(lt, m) for lt in lead_exponents)
     }
+
+
+def hilbert_function_slow(generators, n: int, d: int, p: int = 0) -> int:
+    """dim Q_d minus the rank of the degree-d Macaulay matrix.
+
+    ``generators`` are homogeneous polynomials as {exponent tuple: coefficient}
+    dicts.  The rows are each generator times every monomial that brings it
+    to degree d; the columns are all monomials of degree d.  The rank is
+    taken over the rationals (p = 0) or mod p.
+    """
+    cols = all_monomials(n, d)
+    pos = {m: j for j, m in enumerate(cols)}
+    rows = []
+    for g in generators:
+        e = sum(next(iter(g)))
+        if e > d:
+            continue
+        for m in all_monomials(n, d - e):
+            row = [0] * len(cols)
+            for mm, c in dict_mul(g, {m: 1}).items():
+                row[pos[mm]] = c
+            rows.append(row)
+    return len(cols) - (gf_rank_slow(rows, p) if p else fraction_rank(rows))

@@ -16,12 +16,12 @@ from aciring import (
     ann_of_form,
     annihilator,
     betti_table_formula,
-    buchberger,
     ci_resolution_betti,
     disjointness_invertible,
     duality_check,
     exact_zero_divisor_check,
     gamma_sequence,
+    groebner_basis,
     hilbert_formula,
     hilbert_function,
     ideal_equal,
@@ -216,7 +216,7 @@ def test_criterion_07_initial_ideal():
     c = Criterion(7, "Groebner basis realizes the ballot initial ideal", 300)
     for n in range(2, 8):
         l = ell_of(n)
-        gb = buchberger(G_from_orbit(n, QQ))
+        gb = groebner_basis(G_from_orbit(n, QQ))
         c.check(gb.initial_ideal() == predicted_initial_ideal(n), f"initial ideal at n={n}")
         degs = {g.degree for g in gb.polys}
         c.check(degs <= {2, l + 1}, f"basis degrees {sorted(degs)} at n={n}")

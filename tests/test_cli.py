@@ -13,9 +13,10 @@ import jsonschema
 import pytest
 
 import aciring
-from aciring import cache
+from aciring import cache, cli
 from aciring.cache import cache_dir
 from aciring.cli import main
+from aciring.errors import BoundTooSmall, DegreeCapExceeded, DimensionMismatch, ExponentCapExceeded, FieldMismatch
 from aciring.verify import CheckRecord, VerificationReport
 
 R4_TABLE_TEXT = (
@@ -365,6 +366,27 @@ def test_degree_cap_exhaustion_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: resource cap exceeded")
+
+
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [
+        (DegreeCapExceeded(2, "asked about degree 3"), 3, "resource cap exceeded: asked about degree 3"),
+        (ExponentCapExceeded(5, 4), 3, "resource cap exceeded: exponent 5 exceeds cap 4"),
+        (ValueError("no such ring"), 2, "no such ring"),
+        (DimensionMismatch("3 vs 4 variables"), 4, "internal failure: DimensionMismatch: 3 vs 4 variables"),
+        (FieldMismatch("QQ vs GF(7)"), 4, "internal failure: FieldMismatch: QQ vs GF(7)"),
+        (BoundTooSmall("step 2"), 4, "internal failure: BoundTooSmall: step 2"),
+        (AssertionError("negative Betti number"), 4, "internal failure: AssertionError: negative Betti number"),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+)
+def test_failure_exit_codes(capsys, monkeypatch, exc, code, message):
+    def fail(args, parser):
+        raise exc
+
+    monkeypatch.setitem(cli._DISPATCH, "hilbert", fail)
+    assert run_cli(capsys, "hilbert", "--ring", "P", "--n", "3") == (code, "", f"error: {message}\n")
 
 
 def test_version_flag(capsys):

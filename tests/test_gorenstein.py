@@ -12,12 +12,12 @@ from aciring import (
     ann_of_form,
     annihilator,
     ballot_sequences,
-    buchberger,
     build_quotient,
     disjointness_invertible,
     disjointness_matrix,
     format_poly,
     g_polynomial,
+    groebner_basis,
     hessian,
     hilbert_function,
     ideal_equal,
@@ -126,7 +126,7 @@ def test_predicted_initial_ideal_n7_cubic_count():
 def test_computed_initial_ideal_matches_prediction():
     for n in range(2, 7):
         ell = (n - 2) // 2
-        gb = buchberger(G_from_orbit(n, QQ))
+        gb = groebner_basis(G_from_orbit(n, QQ))
         assert gb.initial_ideal() == predicted_initial_ideal(n)
         assert {g.degree for g in gb.polys} <= {2, ell + 1}
 

@@ -8,9 +8,15 @@ because several tests want the same handful of quotients.
 from functools import lru_cache
 from math import comb
 
+import pytest
+
 from aciring import (
+    GF,
     QQ,
+    G_from_orbit,
     Polynomial,
+    QuotientRing,
+    ann_of_form,
     annihilator,
     build_quotient,
     exact_zero_divisor_check,
@@ -27,6 +33,8 @@ from aciring import (
     variable_sum,
 )
 from aciring.linalg import rank
+
+from _oracle import hilbert_function_slow
 
 
 @lru_cache(maxsize=None)
@@ -275,3 +283,39 @@ def test_variable_annihilator_is_principal_report():
     assert ok
     # each row records (degree, dim annihilator, dim principal part)
     assert all(a == b for _, a, b in rows)
+
+
+# ---------------------------------------------------------------------------
+# the echelon forms against the oracle's Macaulay matrices
+# ---------------------------------------------------------------------------
+
+
+def _oracle_values(gens, n, field, through):
+    dicts = [dict(g.terms) for g in gens if g]
+    return [hilbert_function_slow(dicts, n, d, field.characteristic) for d in range(through + 1)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+@pytest.mark.parametrize("label", ["P", "R", "A", "G_from_orbit", "ann_of_form"])
+def test_hilbert_function_matches_macaulay_oracle(label, field):
+    for n in range(2, 6):
+        if label == "G_from_orbit":
+            gens = G_from_orbit(n, field)
+        elif label == "ann_of_form":
+            gens = ann_of_form(n, field)
+        else:
+            gens = list(named_quotient(label, n, field).generators)
+        q = QuotientRing(gens)
+        top = q.socle_degree() + 1
+        assert q.hilbert_series(top) == _oracle_values(gens, n, field, top), (label, n)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_primed_rings_match_macaulay_oracle_through_their_caps(field):
+    for n in (3, 4):
+        cap = n + 3
+        f = primed_aci_ideal(n, field)[-1]
+        Pp = build_quotient(primed_squares_ideal(n, field), cap)
+        for gens in (primed_squares_ideal(n, field), primed_aci_ideal(n, field), annihilator(Pp, f, n)):
+            q = build_quotient(gens, cap)
+            assert q.hilbert_series(cap) == _oracle_values(gens, n, field, cap), n
