@@ -90,15 +90,19 @@ class MonomialIdeal:
         return any(mono_divides(g, m) for g in self.gens)
 
     def standard_monomials(self, d: int) -> list[Mono]:
-        """Monomials of degree d outside the ideal, in descending order.
-
-        Grown one degree at a time: every divisor of a monomial outside the
-        ideal is outside it too.
-        """
-        layer = [mono_one(self.n)]
+        """Monomials of degree d outside the ideal, in descending order (none if d < 0)."""
+        layer = [m for m in [mono_one(self.n)] if d >= 0 and not self.contains(m)]
         for _ in range(d):
-            layer = {m[:k] + (m[k] + 1,) + m[k + 1:] for m in layer if not self.contains(m) for k in range(self.n)}
-        return sorted((m for m in layer if not self.contains(m)), key=revlex_key, reverse=True)
+            layer = self.grow(layer)
+        return layer
+
+    def grow(self, layer: Iterable[Mono]) -> list[Mono]:
+        """Monomials outside the ideal one degree above ``layer``, in descending order.
+
+        All of them if ``layer`` is all of its degree: their divisors are outside too.
+        """
+        up = {m[:k] + (m[k] + 1,) + m[k + 1:] for m in layer for k in range(self.n)}
+        return sorted((m for m in up if not self.contains(m)), key=revlex_key, reverse=True)
 
     def __eq__(self, other):
         return isinstance(other, MonomialIdeal) and self.n == other.n and self.gens == other.gens
@@ -176,32 +180,36 @@ class GroebnerBasis:
         return f"GroebnerBasis(n={self.n}, {len(self.polys)} elements{trunc})"
 
 
-def groebner_basis(
-    generators: Sequence[Polynomial],
-    *,
-    n: int | None = None,
-    field: Field | None = None,
-    degree_cap: int | None = None,
-) -> GroebnerBasis:
+def groebner_basis(generators: Sequence[Polynomial], *, degree_cap: int | None = None) -> GroebnerBasis:
     """The reduced Gröbner basis of a homogeneous ideal, read off its quotient ring.
 
     The minimal generators of in(I) are among the leading monomials of the
-    ring's base and the pivots of its echelon forms; each one, m, gives the
+    ring's base B and the pivots of its echelon forms; each one, m, gives the
     element m - nf(m).  The basis is complete once the Hilbert function
     reaches zero.  If the degree cap comes first, it is truncated at the cap
-    unless the ring is complete there anyway (``QuotientRing.is_complete``).
-    A non-Artinian ideal needs a cap.
+    unless the ring is complete there anyway (``QuotientRing.is_complete``);
+    a lead of B above the cap then gives its element of B reduced modulo the
+    rest of B.  A non-Artinian ideal needs a cap.
     """
     from .quotient import QuotientRing  # quotient builds on this module
 
-    ring = QuotientRing(generators, n=n, field=field, degree_cap=degree_cap)
+    if not any(generators):
+        raise ValueError("the zero ideal has no Gröbner basis to read off")
+    ring = QuotientRing(generators, degree_cap=degree_cap)
     if degree_cap is None and not ring.is_artinian:
         raise ValueError("the Gröbner basis of a non-Artinian ideal needs a degree cap")
+    truncated = None if ring.is_complete else degree_cap
     d = 0
     while d != degree_cap and ring.hilbert_function(d):
         d += 1
-    leads = [Polynomial.monomial(ring.n, ring.field, m) for m in ring.initial_generators(d)]
-    return GroebnerBasis(ring.n, ring.field, [m - ring.nf(m) for m in leads], None if ring.is_complete else degree_cap)
+
+    def element(m: Mono) -> Polynomial:
+        lead = Polynomial.monomial(ring.n, ring.field, m)
+        if truncated is None or lead.degree <= truncated:
+            return lead - ring.nf(lead)
+        return normal_form(next(b for b in ring.base if b.lm == m), [b for b in ring.base if b.lm != m])
+
+    return GroebnerBasis(ring.n, ring.field, [element(m) for m in ring.initial_generators(d)], truncated)
 
 
 def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:

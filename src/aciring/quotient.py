@@ -21,10 +21,10 @@ from typing import Sequence
 
 from .errors import DegreeCapExceeded
 from .fields import Field
-from .groebner import MonomialIdeal
+from .groebner import MonomialIdeal, normal_form
 from .linalg import Echelon, kernel_basis, matmul, rank
 from .linalg import gf_matmul  # noqa: F401  bench/tests/test_bench.py dereferences quotient.gf_matmul
-from .poly import Mono, Polynomial, mono_deg, mono_div, mono_divides, mono_mul
+from .poly import Mono, Polynomial, mono_deg, mono_mul
 
 
 class QuotientRing:
@@ -51,14 +51,14 @@ class QuotientRing:
         self.name = name
         self.generators = tuple(generators)
         self.degree_cap = degree_cap
-        self._base: list[Polynomial] = []
+        self.base: list[Polynomial] = []
         self._relations: list[Polynomial] = []
         for g in sorted(gens, key=lambda g: len(g.terms) > 1):  # single terms first
-            if len(g.terms) == 1 or all(not any(map(min, g.lm, b.lm)) for b in self._base):
-                self._base.append(g.monic())
+            if len(g.terms) == 1 or all(not any(map(min, g.lm, b.lm)) for b in self.base):
+                self.base.append(g.monic())
             else:
                 self._relations.append(g)
-        self.base_leads = MonomialIdeal(n, [b.lm for b in self._base])
+        self.base_leads = MonomialIdeal(n, [b.lm for b in self.base])
         self._top_degree = max((g.degree for g in gens), default=1)
         self._columns: dict[int, dict[Mono, int]] = {}
         self._base_nf_cache: dict[Mono, list] = {}
@@ -71,7 +71,8 @@ class QuotientRing:
     def _column_index(self, d: int) -> dict[Mono, int]:
         """The monomials of degree d outside in(B), in descending order, with their positions."""
         if d not in self._columns:
-            cols = self.base_leads.standard_monomials(d) if d >= 0 else ()
+            leads = self.base_leads
+            cols = leads.grow(self._column_index(d - 1)) if d > 0 else leads.standard_monomials(d)
             self._columns[d] = {m: j for j, m in enumerate(cols)}
         return self._columns[d]
 
@@ -81,15 +82,9 @@ class QuotientRing:
             index = self._column_index(mono_deg(m))
             if m in index:
                 out = [(index[m], self.field.one())]
-            else:
-                # m = q * lead(b) with b monic: m is -q * tail(b), whose terms are smaller
-                b = next(b for b in self._base if mono_divides(b.lm, m))
-                q = mono_div(m, b.lm)
-                acc: dict = {}
-                for t, c in b.terms[1:]:
-                    for j, c2 in self._base_nf(mono_mul(q, t, None)):
-                        acc[j] = acc.get(j, 0) - c * c2
-                out = list(acc.items())
+            else:  # B is a Gröbner basis, so division by it reduces
+                r = normal_form(Polynomial.monomial(self.n, self.field, m), self.base)
+                out = [(index[t], c) for t, c in r.terms]
             self._base_nf_cache[m] = out
         return self._base_nf_cache[m]
 

@@ -15,6 +15,8 @@ from aciring.groebner import (
     ideal_equal,
     is_groebner_basis,
     normal_form,
+    primed_aci_ideal,
+    primed_squares_ideal,
     squares_ideal,
 )
 from aciring.poly import Polynomial, monomials_of_degree, parse_poly, squared_variable_sum
@@ -160,6 +162,11 @@ def test_degree_cap_truncated_guard():
         gb.standard_monomials(3)
     with pytest.raises(DegreeCapExceeded):
         gb.initial_ideal()  # needs through_degree on a truncated basis
+    low = groebner_basis(aci_ideal(4, QQ), degree_cap=1)  # below the squares
+    assert not low.is_complete and low.standard_count(1) == 4
+    assert sorted(low.polys, key=str) == sorted(squares_ideal(4, QQ), key=str)
+    primed = groebner_basis(primed_aci_ideal(3, QQ), degree_cap=1)
+    assert not primed.is_complete and sorted(primed.polys, key=str) == sorted(primed_squares_ideal(3, QQ), key=str)
 
 
 # ----------------------------------------------------------------------
