@@ -137,9 +137,10 @@ def default_characteristic(n: int) -> int:
 
     Rank computations at n = 8 get large enough that the single-large-prime
     path is the practical default; callers can always force characteristic 0.
-    Measured on a 2-CPU machine (one run each, ring construction included),
-    the n = 8 Koszul table (``betti --method koszul``) takes 3.3 s for R and
-    6.0 s for A over GF(32003), against 7.7 s and 17.4 s over QQ.
+    Measured on a 2-CPU machine (two runs each, process start and ring
+    construction included), the n = 8 Koszul table (``betti --method
+    koszul --no-cache``) takes 2.0-2.3 s for R and 2.7-3.7 s for A over
+    GF(32003), against 4.3-5.3 s and 10.4-12.1 s over QQ.
     The prime comfortably exceeds every n in scope, matching the standing
     hypothesis that the characteristic is zero or larger than n.
     """

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -175,22 +175,17 @@ def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field) -> int:
 
 
 def _scale_sparse_rows_to_int(rows: dict) -> None:
-    """Replace each sparse row by the coprime-integer multiple of itself."""
+    """Replace each sparse row by the coprime-integer multiple of itself.
+
+    Rows of ints with no common factor, the usual case, are left as they are.
+    """
     for r, cs in rows.items():
-        denom = 1
-        for v in cs.values():
-            if isinstance(v, Fraction):
-                d = v.denominator
-                denom = denom * d // gcd(denom, d)
-        ints = {c: int(v * denom) for c, v in cs.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, abs(v))
-            if g == 1:
-                break
+        if not all(type(v) is int for v in cs.values()):
+            denom = lcm(*(v.denominator for v in cs.values()))
+            cs = rows[r] = {c: int(v * denom) for c, v in cs.items()}
+        g = gcd(*cs.values())
         if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
-        rows[r] = ints
+            rows[r] = {c: v // g for c, v in cs.items()}
 
 
 def _pivot_rank(rows: dict, cols: dict, p: int) -> int:

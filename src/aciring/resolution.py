@@ -15,8 +15,11 @@ reported instead of silently returning a smaller table.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 from typing import Callable, Sequence
+from weakref import WeakKeyDictionary
 
 from .errors import BoundTooSmall
 from .fields import QQ
@@ -141,71 +144,101 @@ def _ci_generators(n: int, U: Sequence[int], i: int) -> list[tuple[tuple, tuple]
 
 
 def _remove_once(s: tuple, t: int) -> tuple:
-    found = False
-    out = []
-    for u in s:
-        if u == t and not found:
-            found = True
-            continue
-        out.append(u)
-    return tuple(out)
+    k = s.index(t)
+    return s[:k] + s[k + 1:]
+
+
+@lru_cache(maxsize=None)
+def _ci_incidence(n: int, U: tuple, i: int) -> tuple[tuple, int]:
+    """d_i on the generators: per target generator, its (source, t, negative) terms.
+
+    e_S z^(s) maps to the sum over t in S of (-1)^(position of t in S)
+    x_t e_(S-t) z^(s), plus the sum over t in s outside S of
+    (-1)^(|S| + #{u in S : u > t}) x_t e_(S+t) z^(s-t).  Each pair of
+    generators is joined by at most one t.  Also returns the number of
+    source generators.
+    """
+    gens_src = _ci_generators(n, U, i)
+    gens_tgt = _ci_generators(n, U, i - 1)
+    tgt_index = {g: b for b, g in enumerate(gens_tgt)}
+    into: list[list] = [[] for _ in gens_tgt]
+    for a, (S, s) in enumerate(gens_src):
+        for pos, t in enumerate(S):
+            into[tgt_index[(S[:pos] + S[pos + 1:], s)]].append((a, t, pos % 2))
+        for t in sorted(set(s) - set(S)):
+            above = sum(1 for u in S if u > t)
+            into[tgt_index[(tuple(sorted(S + (t,))), _remove_once(s, t))]].append((a, t, (len(S) + above) % 2))
+    return tuple(map(tuple, into)), len(gens_src)
+
+
+# module -> {d: [(rows of x_t from degree d, the same rows negated) for each t]}
+_map_rows_cache: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _variable_map_rows(module, d: int) -> list[tuple[list, list]]:
+    """Every x_t map out of degree d as sparse integer rows: (column, value) lists.
+
+    Over QQ all the degree-d maps are scaled by L_d, the least common
+    denominator of their entries; over GF(p) values stay in ``range(p)`` and
+    the negated rows hold p - v.  Built once per module and degree.
+    """
+    per_module = _map_rows_cache.setdefault(module, {})
+    if d not in per_module:
+        p = module.field.characteristic
+        maps = [module.variable_map(t, d) for t in range(module.n)]
+        scale = 1 if p else lcm(*(v.denominator for M in maps for row in M for v in row if v))
+        out = []
+        for M in maps:
+            pos = [[(c, int(v * scale)) for c, v in enumerate(row) if v] for row in M]
+            out.append((pos, [[(c, p - v if p else -v) for c, v in row] for row in pos]))
+        per_module[d] = out
+    return per_module[d]
 
 
 def ci_differential(module: QuotientRing, U: Sequence[int], i: int, j: int):
     """The degree-j slice of d_i on module ⊗ (resolution of k), sparsely.
 
     Returns (row_entries, nrows, ncols) with row_entries as {row: {col: val}}.
-    Rows live in module_{j-i+1} ⊗ gens_{i-1}, columns in module_{j-i} ⊗ gens_i.
+    Rows live in module_{j-i+1} ⊗ gens_{i-1}, columns in module_{j-i} ⊗ gens_i;
+    generator a of either side owns the block of rows or columns from
+    a * (dimension of its module piece) on, in the order of ``_ci_generators``.
+    The values are ints: over QQ the slice is L_d times the true one, L_d the
+    common denominator of the x_t maps out of degree d = j - i (a uniform
+    scale, so the rank is the same); over GF(p) they lie in ``range(p)``.
     """
-    n = module.n
-    field = module.field
-    gens_src = _ci_generators(n, U, i)
-    gens_tgt = _ci_generators(n, U, i - 1)
-    tgt_index = {g: a for a, g in enumerate(gens_tgt)}
-    h_src = module.hilbert_function(j - i) if j - i >= 0 else 0
-    h_tgt = module.hilbert_function(j - i + 1) if j - i + 1 >= 0 else 0
-    nrows = len(gens_tgt) * h_tgt
-    ncols = len(gens_src) * h_src
+    d = j - i
+    into, n_src = _ci_incidence(module.n, tuple(U), i)
+    h_src = module.hilbert_function(d) if d >= 0 else 0
+    h_tgt = module.hilbert_function(d + 1) if d + 1 >= 0 else 0
+    nrows = len(into) * h_tgt
+    ncols = n_src * h_src
     rows: dict = {}
     if nrows == 0 or ncols == 0:
         return rows, nrows, ncols
-
-    # columns of multiplication-by-x_t as (row, value) lists, one per variable
-    var_cols = []
-    for t in range(n):
-        M = module.variable_map(t, j - i)
-        cols = [[] for _ in range(h_src)]
-        for r, row in enumerate(M):
-            for c, v in enumerate(row):
-                if v != 0:
-                    cols[c].append((r, v))
-        var_cols.append(cols)
-
-    def emit(col, tgt_gen_idx, t, negative):
-        base = tgt_gen_idx * h_tgt
-        for r, v in var_cols[t][col % h_src]:
-            val = field.neg(v) if negative else v
-            row = base + r
-            dest = rows.setdefault(row, {})
-            cur = dest.get(col)
-            dest[col] = field.add(cur, val) if cur is not None else val
-            if field.is_zero(dest[col]):
-                del dest[col]
-
-    for a, (S, s) in enumerate(gens_src):
-        for m_idx in range(h_src):
-            col = a * h_src + m_idx
-            for pos, t in enumerate(S):
-                tgt = tgt_index[(tuple(u for u in S if u != t), s)]
-                emit(col, tgt, t, negative=pos % 2 == 1)
-            for t in set(s):
-                if t in S:
-                    continue
-                newS = tuple(sorted(S + (t,)))
-                tgt = tgt_index[(newS, _remove_once(s, t))]
-                above = sum(1 for u in S if u > t)
-                emit(col, tgt, t, negative=(len(S) + above) % 2 == 1)
+    maps = _variable_map_rows(module, d)
+    for b, incoming in enumerate(into):
+        terms = [(a * h_src, maps[t][negative]) for a, t, negative in incoming]
+        base = b * h_tgt
+        for r in range(h_tgt):
+            row = {col0 + c: v for col0, M in terms for c, v in M[r]}
+            if row:
+                rows[base + r] = row
     return rows, nrows, ncols
+
+
+def _square_kills(module, t: int, top: int) -> bool:
+    """Whether variable_map(t, d + 1) · variable_map(t, d) = 0 in every degree d."""
+    p = module.field.characteristic
+    for d in range(top - 1):
+        first = _variable_map_rows(module, d)[t][0]
+        for row in _variable_map_rows(module, d + 1)[t][0]:
+            acc: dict = {}
+            for r, v in row:
+                for c, w in first[r]:
+                    acc[c] = acc.get(c, 0) + v * w
+            if any(x % p if p else x for x in acc.values()):
+                return False
+    return True
 
 
 def ci_resolution_betti(
@@ -221,11 +254,10 @@ def ci_resolution_betti(
     """
     n = module.n
     field = module.field
-    for t in U:
-        sq = Polynomial.monomial(n, field, tuple(2 if a == t else 0 for a in range(n)))
-        if module.nf(sq):
-            raise ValueError(f"x_{t + 1}^2 does not vanish in the module's ring")
     top = module.socle_degree()
+    for t in U:
+        if not 0 <= t < n or not _square_kills(module, t, top):
+            raise ValueError(f"x_{t + 1}^2 does not vanish on the module")
     if max_i is None:
         if U:
             raise ValueError("a nonempty base needs an explicit homological bound")

@@ -103,6 +103,11 @@ def test_sparse_rank_matches_dense_both_fields():
         dense = [[rows.get(r, {}).get(c, Fraction(0)) for c in range(ncols)] for r in range(nrows)]
         want = fraction_rank(dense)
         assert sparse_rank({r: dict(cs) for r, cs in rows.items()}, nrows, ncols, QQ) == want
+        # the same rows times 12 as plain ints, stacked on their doubles: rows
+        # with a common factor, and the same rank
+        ints = {r: {c: int(v * 12) for c, v in cs.items()} for r, cs in rows.items()}
+        ints.update({r + nrows: {c: 2 * v for c, v in cs.items()} for r, cs in ints.items()})
+        assert sparse_rank(ints, 2 * nrows, ncols, QQ) == want
         if trial % 3 == 0:
             p = 101
             # scale the whole matrix by 12 (lcm of the denominators used above)

@@ -5,6 +5,7 @@ Expected tables are frozen dicts {(i, j): value}.
 """
 
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -25,6 +26,7 @@ from aciring import (
 )
 from aciring.fields import GF
 from aciring.linalg import sparse_rank
+from aciring.poly import parse_poly
 from aciring.quotient import GradedModuleSpan, ring_of_polynomials
 from aciring.resolution import ci_differential
 
@@ -108,6 +110,102 @@ def test_koszul_slices_rank_alike_over_gf_and_qq(ring):
     assert ranked == set(range(1, n + 1))
 
 
+def koszul_generators(n: int, U, i: int) -> list:
+    """e_S z^(s) with |S| + 2|s| = i, ordered by |s|, then S, then s."""
+    return [
+        (S, s)
+        for k in range(i // 2 + 1)
+        for S in combinations(range(n), i - 2 * k)
+        for s in combinations_with_replacement(U, k)
+    ]
+
+
+def koszul_slice(module, U, i: int, j: int) -> dict:
+    """The degree-j slice of d_i as {(row, col): value}, straight from variable_map.
+
+    d(e_S z^(s)) = sum over t in S of (-1)^#{u in S: u < t} x_t e_(S-t) z^(s)
+    + (-1)^|S| e_S sum over t in s of x_t e_t z^(s-t), where e_S e_t is
+    (-1)^#{u in S: u > t} e_(S+t), or 0 when t is in S.
+    """
+    d = j - i
+    src, tgt = koszul_generators(module.n, U, i), koszul_generators(module.n, U, i - 1)
+    h_src, h_tgt = module.hilbert_function(d), module.hilbert_function(d + 1)
+    out = {}
+    for a, (S, s) in enumerate(src):
+        terms = [(t, (tuple(u for u in S if u != t), s), (-1) ** sum(u < t for u in S)) for t in S]
+        for t in set(s) - set(S):
+            rest = list(s)
+            rest.remove(t)
+            terms.append((t, (tuple(sorted(S + (t,))), tuple(rest)), (-1) ** (len(S) + sum(u > t for u in S))))
+        for t, g, sign in terms:
+            b = tgt.index(g)
+            M = module.variable_map(t, d)
+            for r in range(h_tgt):
+                for c in range(h_src):
+                    if M[r][c]:
+                        out[(b * h_tgt + r, a * h_src + c)] = sign * M[r][c]
+    return out
+
+
+@pytest.mark.parametrize("char", [0, 101])
+def test_ci_differential_is_a_positive_integer_multiple_of_the_koszul_matrix(char):
+    field = GF(char) if char else QQ
+    for label in ("R", "A"):
+        for n in range(2, 6):
+            module = named_quotient(label, n, field)
+            top = module.socle_degree()
+            for U in ((), (n - 1,)):
+                scale = {}
+                for i in range(1, n + 3):
+                    for j in range(i, i + top):
+                        rows, nrows, ncols = ci_differential(module, U, i, j)
+                        want = koszul_slice(module, U, i, j)
+                        got = {(r, c): v for r, cs in rows.items() for c, v in cs.items()}
+                        assert (nrows, ncols) == (
+                            len(koszul_generators(n, U, i - 1)) * module.hilbert_function(j - i + 1),
+                            len(koszul_generators(n, U, i)) * module.hilbert_function(j - i),
+                        )
+                        assert all(type(v) is int for v in got.values())
+                        assert got.keys() == want.keys(), (label, n, U, i, j)
+                        for key, v in got.items():
+                            if char:
+                                assert 0 < v < char
+                                ratio = v * pow(int(want[key]), -1, char) % char
+                            else:
+                                ratio = v / want[key]
+                                assert ratio.denominator == 1 and ratio > 0
+                            assert scale.setdefault(j - i, ratio) == ratio, (label, n, U, i, j)
+
+
+def test_ci_resolution_betti_of_a_module_span_over_a_hypersurface():
+    # G/J inside P over Q/(x4^2): x4^2 is checked on the span's own maps
+    n = 4
+    P = ring("P", n)
+    span = GradedModuleSpan(P, P.annihilator_of_element(squared_variable_sum(n, QQ)), name="G/J")
+    got = ci_resolution_betti(span, U=(3,), max_i=3, max_j=8)
+    assert got.window == (3, 8)
+    assert {j: v for (i, j), v in got.entries.items() if i == 0} == {
+        j: v for (i, j), v in gj_module_table(n).entries.items() if i == 0
+    }
+    # H_M = H_B * sum (-1)^i beta_ij t^j with H_B = (1 + t) / (1 - t)^3, in the
+    # degrees the window sees all of: generators of F_i lie in degree >= i + 1
+    h_base = [comb(k + 2, 2) + (comb(k + 1, 2) if k else 0) for k in range(9)]
+    for j in range(5):
+        alternating = sum((-1) ** i * v * h_base[j - jj] for (i, jj), v in got.entries.items() if jj <= j)
+        assert alternating == span.hilbert_function(j), j
+
+
+def test_ci_resolution_betti_refuses_a_square_that_does_not_kill_the_module():
+    cubes = build_quotient([Polynomial.monomial(3, QQ, tuple(3 if a == t else 0 for a in range(3))) for t in range(3)])
+    x1 = Polynomial.variable(3, QQ, 0)
+    with pytest.raises(ValueError):
+        ci_resolution_betti(GradedModuleSpan(cubes, [x1]), U=(2,), max_i=2, max_j=6)
+    with pytest.raises(ValueError):
+        ci_resolution_betti(cubes, U=(0,), max_i=2, max_j=6)
+    # x1^2 kills the submodule (x1) although not the ring: x1^3 = 0
+    assert ci_resolution_betti(GradedModuleSpan(cubes, [x1]), U=(0,), max_i=2, max_j=6).get(0, 1) == 1
+
+
 def test_syzygy_over_hypersurface_matches_one_variable_down():
     x3sq = Polynomial.monomial(3, QQ, (0, 0, 2))
     T = build_quotient([x3sq], name="T")
@@ -125,6 +223,11 @@ def test_syzygy_over_all_squares_strand():
 def test_syzygy_over_polynomial_ring_agrees_with_koszul():
     Q4 = ring_of_polynomials(4, QQ)
     assert syzygy_betti(Q4, ring("A", 4), 4, 6) == table("A", 4)
+    # its variable maps have denominators 2 and 3, so its Koszul slices are scaled
+    gens = [parse_poly(s, 3, QQ) for s in ("2*x1*x2 + x3^2", "x1^2", "x2^2", "3*x1*x3 - x2*x3 + x3^2")]
+    mixed = build_quotient(gens)
+    assert koszul_betti(mixed).entries == R3_TABLE
+    assert syzygy_betti(ring_of_polynomials(3, QQ), mixed, 3, 5) == koszul_betti(mixed)
 
 
 def test_syzygy_window_too_small_raises():
