@@ -13,7 +13,8 @@ gorenstein  Generators of the Gorenstein ideal, predicted vs computed
 verify      Run a named verification suite and report PASS/FAIL per check.
 
 Exit codes: 0 success / all checks pass, 1 verification or cross-check
-failure, 2 usage error, 3 resource cap exceeded, 4 internal failure.
+failure, 2 usage error or an ``--out`` file that cannot be written, 3 resource
+cap exceeded, 4 internal failure.
 
 Results of the compute subcommands are cached as JSON under the directory
 named by the ``ACIRING_CACHE_DIR`` environment variable (defaulting to the
@@ -140,14 +141,6 @@ def _resolve_char(args, ns, parser) -> int:
     if not is_prime(c) or c <= max(ns, default=0):
         parser.error("--char must be 0 or a prime larger than every requested n")
     return c
-
-
-def _emit(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _json_text(payload: dict) -> str:
@@ -488,7 +481,15 @@ def main(argv=None) -> int:
         # the package's own errors and failed assertions are bugs, not bad input
         print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    _emit(text, args)
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -7,10 +7,11 @@ polynomial ring modulo squares of some of the variables (those bases are
 where our modules live; the resolution stays linear and minimal).  Betti
 numbers fall out of ranks of the differentials.
 
-Route two never sees the first construction: it extracts minimal generators
-degree by degree, takes kernels, and repeats.  Hilbert bookkeeping makes the
-truncation honest: if a window hides generators, that is detected and
-reported instead of silently returning a smaller table.
+Route two never sees the first construction: on coordinate vectors over the
+base's standard monomials, it extracts minimal generators degree by degree,
+takes kernels of evaluation matrices, and repeats.  Hilbert bookkeeping makes
+the truncation honest: a generator hidden past the window raises
+BoundTooSmall instead of silently returning a smaller table.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 from weakref import WeakKeyDictionary
 
 from .errors import BoundTooSmall
@@ -38,14 +39,13 @@ class BettiTable:
     hashing look at the entries alone.
     """
 
-    __slots__ = ("n", "entries", "window", "note", "ring_label", "module_label", "characteristic", "method")
+    __slots__ = ("n", "entries", "window", "ring_label", "module_label", "characteristic", "method")
 
     def __init__(
         self,
         n: int,
         entries: dict,
         window: tuple[int, int] | None = None,
-        note: str = "",
         ring_label: str = "Q",
         module_label: str = "",
         characteristic: int | None = None,
@@ -54,7 +54,6 @@ class BettiTable:
         self.n = n
         self.entries = {k: int(v) for k, v in entries.items() if v}
         self.window = window
-        self.note = note
         self.ring_label = ring_label
         self.module_label = module_label
         self.characteristic = characteristic
@@ -77,19 +76,22 @@ class BettiTable:
     def rows(self) -> list[tuple[int, int, int]]:
         return [(i, j, v) for (i, j), v in sorted(self.entries.items())]
 
+    def _derived(self, entries: dict, window: tuple[int, int] | None) -> "BettiTable":
+        """Another table with this one's provenance."""
+        return BettiTable(
+            self.n, entries, window, self.ring_label, self.module_label, self.characteristic, self.method
+        )
+
     def restricted(self, max_i: int, max_j: int) -> "BettiTable":
         sub = {(i, j): v for (i, j), v in self.entries.items() if i <= max_i and j <= max_j}
-        out = BettiTable(self.n, sub, window=(max_i, max_j), note=self.note)
-        out.ring_label, out.module_label = self.ring_label, self.module_label
-        out.characteristic, out.method = self.characteristic, self.method
-        return out
+        return self._derived(sub, (max_i, max_j))
 
     def shifted(self, di: int, dj: int) -> "BettiTable":
         sub = {(i + di, j + dj): v for (i, j), v in self.entries.items()}
         window = None
         if self.window is not None:
             window = (self.window[0] + di, self.window[1] + dj)
-        return BettiTable(self.n, sub, window=window, note=self.note)
+        return self._derived(sub, window)
 
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries
@@ -318,196 +320,132 @@ def koszul_betti(module: QuotientRing, max_i: int | None = None, max_j: int | No
 # ----------------------------------------------------------------------
 
 
-class _FreeElement:
-    """An element of a graded free module over the base, one polynomial per slot."""
+def syzygy_betti(base: QuotientRing, module: QuotientRing, max_i: int, max_j: int) -> BettiTable:
+    """Betti numbers of the module over the base by iterated minimal syzygies.
 
-    __slots__ = ("parts", "degree")
+    The module must be a cyclic quotient of the base: its defining ideal,
+    reduced in the base, is the first syzygy module W_1 inside F_0 = base.
+    Step i takes W_i inside F_{i-1} = ⊕_a base(-a), one degree at a time: the
+    minimal generators are what x_t times the piece below does not span,
+    and W_{i+1} is the kernel of their evaluation matrix.  A degree-d
+    element of F_{i-1} is the concatenation of its blocks over
+    ``base.basis(d - a)``; the evaluation matrix has one column m·g per
+    generator g and m in ``base.basis(d - deg g)``, in that order, which is
+    F_i's own coordinate order, so its kernel vectors are W_{i+1}'s elements.
 
-    def __init__(self, parts: tuple, degree: int):
-        self.parts = parts
-        self.degree = degree
-
-
-def _element_vector(base: QuotientRing, degs, elem: _FreeElement, j: int):
-    vec = []
-    for a, p in zip(degs, elem.parts):
-        vec.extend(base.to_vector(p, j - a) if j - a >= 0 else [])
-    return vec
-
-
-def _element_from_vector(base: QuotientRing, degs, j: int, vec) -> _FreeElement:
-    parts = []
-    at = 0
-    for a in degs:
-        width = base.hilbert_function(j - a) if j - a >= 0 else 0
-        parts.append(base.from_vector(j - a, vec[at:at + width]) if width else Polynomial.zero(base.n, base.field))
-        at += width
-    return _FreeElement(tuple(parts), j)
-
-
-def _scale_element(base: QuotientRing, elem: _FreeElement, m, by_degree: int) -> _FreeElement:
-    parts = tuple(base.nf(p.term_mul(m, base.field.one(), None)) for p in elem.parts)
-    return _FreeElement(parts, elem.degree + by_degree)
-
-
-def syzygy_betti_from_gens(
-    base: QuotientRing,
-    relation_gens: Sequence[Polynomial],
-    max_i: int,
-    max_j: int,
-    module_hilbert: Callable[[int], int] | None = None,
-    strict: bool = True,
-) -> BettiTable:
-    """Betti numbers of base/(relation_gens) by iterated minimal syzygies.
-
-    Works entirely inside graded pieces: minimal generators are the cokernel
-    of multiplication from one degree down, syzygies are kernels of the
-    evaluation matrix.  When ``module_hilbert`` is supplied, every graded
-    dimension is checked against the alternating-sum prediction, and a
-    generator hiding just past max_j raises BoundTooSmall (or marks the
-    table when strict is False).
+    Of the module this reads only ``generators``, ``hilbert_function`` and
+    ``name``, never its variable maps (route one's input).  Every graded
+    dimension of W_i is checked against the alternating sum that exactness
+    predicts, and a generator hiding just past max_j raises BoundTooSmall.
     """
     field = base.field
     n = base.n
+    zero = field.zero()
+    p = field.characteristic
     entries = {(0, 0): 1}
     free_hist: list[list[int]] = [[0]]  # generator degrees of F_0, F_1, ...
-    note = ""
+    columns: dict[tuple[int, int], list] = {}  # (t, e) -> x_t out of base degree e, sparse per column
+    hf = base.hilbert_function  # 0 in negative degrees
 
     def free_dim(degs, d):
-        return sum(base.hilbert_function(d - a) for a in degs if d - a >= 0)
+        return sum(hf(d - a) for a in degs)
 
     def predicted_w(i, d):
         # 0 -> W_i -> F_{i-1} -> ... -> F_0 -> M -> 0 alternating sums
-        if module_hilbert is None:
-            return None
-        s = (-1) ** i * module_hilbert(d)
+        s = (-1) ** i * module.hilbert_function(d)
         for t, degs in enumerate(free_hist[:i]):
             s += (-1) ** (i - 1 - t) * free_dim(degs, d)
         return s
 
-    # W_1 = the relation submodule of F_0 = base
-    current: list[_FreeElement] = [
-        _FreeElement((base.nf(g),), g.degree) for g in relation_gens if base.nf(g)
-    ]
+    def times(t, degs, d, vec):
+        """x_t times a degree-d element of ⊕_a base(-a), through its nonzero entries."""
+        out = []
+        at = 0
+        for a in degs:
+            block = [zero] * hf(d + 1 - a)
+            width = hf(d - a)
+            if block and width:
+                if (t, d - a) not in columns:
+                    columns[t, d - a] = [
+                        [(r, v) for r, v in enumerate(col) if v] for col in zip(*base.variable_map(t, d - a))
+                    ]
+                for c, col in enumerate(columns[t, d - a]):
+                    v = vec[at + c]
+                    if v:
+                        for r, w in col:
+                            block[r] += v * w
+                if p:
+                    block = [x % p for x in block]
+            out.extend(block)
+            at += width
+        return out
+
+    def multiples(degs, d, rows):
+        return (times(t, degs, d, row) for row in rows for t in range(n))
+
+    # W_1 = the relation submodule of F_0 = base, by degree
+    current = {d: [base.to_vector(g, d) for g in module.generators if g.degree == d] for d in range(max_j + 1)}
 
     for i in range(1, max_i + 1):
         degs = free_hist[i - 1]
-        mingens: list[_FreeElement] = []
-        by_degree: dict[int, list[_FreeElement]] = {}
-        for e in current:
-            by_degree.setdefault(e.degree, []).append(e)
-        prev_elems: list[_FreeElement] = []
+        mingens: list[tuple[int, list]] = []  # (degree, vector in F_{i-1})
+        rows: list = []
         for d in range(max_j + 1):
-            width = free_dim(degs, d)
-            ech = Echelon(field, width)
             # span of (maximal ideal) * W at this degree, from the piece below
-            for e in prev_elems:
-                for t in range(n):
-                    mono = tuple(1 if a == t else 0 for a in range(n))
-                    xe = _scale_element(base, e, mono, 1)
-                    ech.insert(_element_vector(base, degs, xe, d))
-            low_rank = ech.rank
-            new_elems: list[_FreeElement] = []
-            for e in by_degree.get(d, ()):
-                res = ech.insert(_element_vector(base, degs, e, d))
+            ech = Echelon(field, free_dim(degs, d))
+            for v in multiples(degs, d - 1, rows):
+                ech.insert(v)
+            for v in current[d]:
+                res = ech.insert(v)
                 if res is not None:
-                    new_elems.append(_element_from_vector(base, degs, d, res))
-            if new_elems:
-                entries[(i, d)] = entries.get((i, d), 0) + len(new_elems)
-                mingens.extend(new_elems)
+                    mingens.append((d, res))
+                    entries[(i, d)] = entries.get((i, d), 0) + 1
             want = predicted_w(i, d)
-            if want is not None and ech.rank != want:
+            if ech.rank != want:
                 raise AssertionError(
                     f"syzygy bookkeeping is off at step {i}, degree {d}: "
                     f"span has dimension {ech.rank}, exactness predicts {want}"
                 )
-            prev_elems = [_element_from_vector(base, degs, d, r) for r in ech.rows]
+            rows = ech.rows
         # a generator may be hiding just past the window: the minimal
         # generators found so far must span the predicted dimension there
-        d_probe = max_j + 1
-        want = predicted_w(i, d_probe)
-        if want is not None and want > 0:
-            ech = Echelon(field, free_dim(degs, d_probe))
-            for g in mingens:
-                for m in base.basis(d_probe - g.degree):
-                    res = ech.insert(_element_vector(base, degs, _scale_element(base, g, m, d_probe - g.degree), d_probe))
-                    if ech.rank == want:
-                        break
+        want = predicted_w(i, max_j + 1)
+        if want > 0:
+            ech = Echelon(field, free_dim(degs, max_j + 1))
+            for v in multiples(degs, max_j, rows):
                 if ech.rank == want:
                     break
+                ech.insert(v)
             if ech.rank != want:
-                msg = f"step {i}: a generator beyond degree {max_j} is outside the window"
-                if strict:
-                    raise BoundTooSmall(msg)
-                note = msg
-                break
+                raise BoundTooSmall(f"step {i}: a generator beyond degree {max_j} is outside the window")
         if not mingens:
             break  # the module is zero: resolution has ended
         # syzygies of the minimal generators become the next module
-        new_degs = [g.degree for g in mingens]
-        free_hist.append(new_degs)
-        nxt: list[_FreeElement] = []
+        free_hist.append([a for a, _ in mingens])
+        grown: list[dict] = [{} for _ in mingens]  # per generator g: {m: m·g} in the degree below
+        current = {}
         for d in range(max_j + 1):
             cols = []
-            col_meta = []
-            for gi, g in enumerate(mingens):
-                if d - g.degree < 0:
-                    continue
-                for m in base.basis(d - g.degree):
-                    cols.append(_element_vector(base, degs, _scale_element(base, g, m, d - g.degree), d))
-                    col_meta.append((gi, m))
-            if not cols:
-                continue
-            width = free_dim(degs, d)
-            if width == 0:
-                continue
-            # matrix with our columns: transpose of the stacked rows
-            M = [[cols[c][r] for c in range(len(cols))] for r in range(width)]
-            ker = kernel_basis(M, field, ncols=len(cols))
-            for kv in ker:
-                parts = [Polynomial.zero(base.n, field) for _ in mingens]
-                for (gi, m), c in zip(col_meta, kv):
-                    if field.is_zero(c):
-                        continue
-                    parts[gi] = parts[gi] + Polynomial.monomial(base.n, field, m, c)
-                nxt.append(_FreeElement(tuple(base.nf(p) for p in parts), d))
-        current = nxt
+            for k, (a, g) in enumerate(mingens):
+                if a > d:
+                    break
+                below, grown[k] = grown[k], {}
+                for m in base.basis(d - a):
+                    # m·g = x_t·((m / x_t)·g) for the first variable x_t dividing m
+                    t = next((t for t, e in enumerate(m) if e), None)
+                    grown[k][m] = g if t is None else times(t, degs, d - 1, below[m[:t] + (m[t] - 1,) + m[t + 1:]])
+                cols.extend(grown[k].values())
+            current[d] = kernel_basis([list(r) for r in zip(*cols)], field, ncols=len(cols)) if cols else []
 
-    window = (max_i, max_j)
     return BettiTable(
         n,
         entries,
-        window=window,
-        note=note,
+        window=(max_i, max_j),
         ring_label=base.name or "base",
+        module_label=module.name,
         characteristic=field.characteristic,
         method="syzygy",
     )
-
-
-def syzygy_betti(
-    base: QuotientRing,
-    module: QuotientRing,
-    max_i: int,
-    max_j: int,
-    strict: bool = True,
-) -> BettiTable:
-    """Betti numbers of the module over the base by iterated minimal syzygies.
-
-    The module must be a cyclic quotient of the base: its defining ideal,
-    reduced in the base, provides the first relation generators, and its
-    Hilbert function drives the exactness bookkeeping.
-    """
-    table = syzygy_betti_from_gens(
-        base,
-        list(module.generators),
-        max_i,
-        max_j,
-        module_hilbert=module.hilbert_function,
-        strict=strict,
-    )
-    table.module_label = module.name
-    return table
 
 
 # ----------------------------------------------------------------------

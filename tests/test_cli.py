@@ -338,6 +338,14 @@ def test_out_writes_file(capsys, tmp_path):
     assert target.read_text() == "1 3 3 1\n"
 
 
+def test_out_unwritable_exits_two(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "x.txt", tmp_path):
+        code, out, err = run_cli(capsys, "sequence", "rho", "--n", "4", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+
 def test_usage_errors_exit_two(capsys):
     for argv in (
         ["hilbert", "--ring", "R", "--n", "1"],

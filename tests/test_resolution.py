@@ -218,6 +218,11 @@ def test_syzygy_over_all_squares_strand():
     # resolving R over P: the diagonal strand is binomial(1, i)
     got = syzygy_betti(ring("P", 6), ring("R", 6), 2, 6)
     assert [got.get(i, 2 * i) for i in range(3)] == [1, 1, 0]
+    # at n = 2 the piece of F_0 = P under W_2's first generators is zero,
+    # so every column of that evaluation matrix is a syzygy
+    over_p = ci_resolution_betti(ring("R", 2), U=(0, 1), max_i=3, max_j=4)
+    assert over_p.entries == {(0, 0): 1, (1, 2): 1, (2, 3): 2, (3, 4): 3}
+    assert syzygy_betti(ring("P", 2), ring("R", 2), 3, 4) == over_p
 
 
 def test_syzygy_over_polynomial_ring_agrees_with_koszul():
@@ -228,6 +233,12 @@ def test_syzygy_over_polynomial_ring_agrees_with_koszul():
     mixed = build_quotient(gens)
     assert koszul_betti(mixed).entries == R3_TABLE
     assert syzygy_betti(ring_of_polynomials(3, QQ), mixed, 3, 5) == koszul_betti(mixed)
+    F = GF(101)
+    for n in (3, 4):
+        for label in ("R", "A"):
+            module = named_quotient(label, n, F)
+            got = syzygy_betti(ring_of_polynomials(n, F), module, n, n + module.socle_degree())
+            assert got == koszul_betti(module), (label, n)
 
 
 def test_syzygy_window_too_small_raises():
@@ -235,6 +246,25 @@ def test_syzygy_window_too_small_raises():
     T = build_quotient([x3sq], name="T")
     with pytest.raises(BoundTooSmall):
         syzygy_betti(T, ring("R", 3), 2, 2)
+    # the first step fits; the second step's window probe finds its cubic generators missing
+    with pytest.raises(BoundTooSmall, match="step 2"):
+        syzygy_betti(ring_of_polynomials(4, QQ), ring("R", 4), 4, 3)
+
+
+def test_syzygy_route_reads_only_generators_hilbert_function_and_name(monkeypatch):
+    # the module's variable maps are route one's input; route two must not use them
+    def refuse(*args):
+        raise AssertionError("the syzygy route read the module's multiplication")
+
+    A4, R4 = named_quotient("A", 4, QQ), named_quotient("R", 4, QQ)
+    cases = [
+        (ring_of_polynomials(4, QQ), A4, 4, 6, koszul_betti(A4)),
+        (ring("P", 4), R4, 3, 5, ci_resolution_betti(R4, U=range(4), max_i=3, max_j=5)),
+    ]
+    for base, module, max_i, max_j, expected in cases:
+        monkeypatch.setattr(module, "variable_map", refuse)
+        monkeypatch.setattr(module, "multiplication_map", refuse)
+        assert syzygy_betti(base, module, max_i, max_j) == expected
 
 
 def test_hypersurface_route_two_engines_agree():
@@ -366,4 +396,9 @@ def test_betti_table_helpers():
     assert t.rows() == [(0, 0, 1), (1, 2, 5), (2, 4, 15), (3, 5, 16), (4, 6, 5)]
     assert t.shifted(1, 2).entries == {(i + 1, j + 2): v for (i, j), v in R4_TABLE.items()}
     assert t.restricted(2, 4).entries == {(0, 0): 1, (1, 2): 5, (2, 4): 15}
+    labelled = BettiTable(4, R4_TABLE, (4, 6), ring_label="P", module_label="R", characteristic=7, method="syzygy")
+    for derived in (labelled.shifted(1, 2), labelled.restricted(2, 4)):
+        provenance = (derived.ring_label, derived.module_label, derived.characteristic, derived.method)
+        assert provenance == ("P", "R", 7, "syzygy")
+    assert labelled.shifted(1, 2).window == (5, 8)
     assert t.get(3, 3) == 0
