@@ -24,13 +24,15 @@ user cache directory); ``--no-cache`` bypasses the cache entirely.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 
 from . import __version__
 from .cache import cache_key, lookup, store
-from .errors import AciringError, DegreeCapExceeded, ExponentCapExceeded
+from .errors import AciringError, DegreeCapExceeded
 from .fields import MAX_PRIME, QQ, default_characteristic, field_for_char, is_prime
 from .formulas import betti_table_formula, ell, gamma_sequence, hilbert_formula, rho_sequence
 from .gorenstein import (
@@ -466,12 +468,26 @@ _DISPATCH = {
 }
 
 
+def _unwritable(path: str) -> str | None:
+    """Why opening ``path`` for writing would fail for want of a directory, found without touching it."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    reason = args.out and _unwritable(args.out)
+    if reason:
+        print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+        return 2
     try:
         text, code = _DISPATCH[args.command](args, parser)
-    except (DegreeCapExceeded, ExponentCapExceeded) as exc:
+    except DegreeCapExceeded as exc:
         print(f"error: resource cap exceeded: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:

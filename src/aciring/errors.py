@@ -13,15 +13,6 @@ class FieldMismatch(AciringError, ValueError):
     """Operands carry different coefficient fields."""
 
 
-class ExponentCapExceeded(AciringError, ValueError):
-    """A monomial product pushed some exponent past the configured cap."""
-
-    def __init__(self, exponent, cap):
-        self.exponent = exponent
-        self.cap = cap
-        super().__init__(f"exponent {exponent} exceeds cap {cap}")
-
-
 class DegreeCapExceeded(AciringError, RuntimeError):
     """An answer needs a graded piece above the degree cap."""
 

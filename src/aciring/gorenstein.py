@@ -60,9 +60,9 @@ def g_polynomial(n: int, field: Field = QQ) -> Polynomial:
     f = Polynomial.constant(n, field, field.one())
     for t in range(pairs):
         diff = Polynomial.variable(n, field, 2 * t) - Polynomial.variable(n, field, 2 * t + 1)
-        f = f.mul(diff, None)
+        f = f.mul(diff)
     if n % 2 == 0:
-        f = f.mul(Polynomial.variable(n, field, n - 2), None)
+        f = f.mul(Polynomial.variable(n, field, n - 2))
     return f
 
 
@@ -75,7 +75,7 @@ def G_from_orbit(n: int, field: Field = QQ) -> list[Polynomial]:
 def g_identity_check(n: int, field: Field = QQ) -> bool:
     """Whether g_polynomial(n) times the squared variable sum reduces to
     zero against the variable squares."""
-    product = g_polynomial(n, field).mul(squared_variable_sum(n, field), None)
+    product = g_polynomial(n, field).mul(squared_variable_sum(n, field))
     # the squares have pairwise coprime leading terms, so plain reduction decides
     return not normal_form(product, squares_ideal(n, field))
 
@@ -159,70 +159,38 @@ def ann_of_form(n: int, field: Field = QQ) -> list[Polynomial]:
     """Minimal generators, found through degree n, of the ideal of
     polynomials whose contraction against :func:`inverse_form` vanishes.
 
-    Degrees one and two run in full monomial coordinates, where the square
-    generators first appear.  From degree three on, every monomial with a
-    square is a variable multiple of one in lower degree, so both the
-    kernel and the span sieve restrict to squarefree coordinates of size
-    binomial(n, d).
+    In each degree, the kernel of the contraction modulo the variable
+    multiples of the kernel one degree lower gives the new generators.
+    Degree two runs in full monomial coordinates, where the squares appear;
+    every other degree in squarefree ones: a monomial with a square lies in
+    the ideal already, so a multiple that lands on one projects away.
     """
     F = inverse_form(n, field)
     gens: list[Polynomial] = []
-
-    def poly_from(cols: list[Mono], vec) -> Polynomial:
-        terms = [(m, c) for m, c in zip(cols, vec) if not field.is_zero(c)]
-        return Polynomial(n, field, terms).monic()
-
-    cols1 = squarefree_monomials(n, 1)
-    ker1 = _contraction_kernel(n, field, F, cols1)
-    gens.extend(poly_from(cols1, v) for v in ker1)
-
-    cols2 = sorted(monomials_of_degree(n, 2), key=revlex_key, reverse=True)
-    idx2 = {m: j for j, m in enumerate(cols2)}
-    ker2 = _contraction_kernel(n, field, F, cols2)
-    span = Echelon(field, len(cols2))
-    for v in ker1:
-        for i in range(n):
-            w = [field.zero()] * len(cols2)
-            for m, c in zip(cols1, v):
-                if field.is_zero(c):
-                    continue
-                mm = list(m)
-                mm[i] += 1
-                j = idx2[tuple(mm)]
-                w[j] = field.add(w[j], c)
-            span.insert(w)
-    for v in ker2:
-        residue = span.insert(list(v))
-        if residue is not None:
-            gens.append(poly_from(cols2, residue))
-
-    prev_cols = squarefree_monomials(n, 2)
-    prev_ker = _contraction_kernel(n, field, F, prev_cols)
-    for d in range(3, n + 1):
-        cols = squarefree_monomials(n, d)
-        if not cols:
-            break
+    prev_cols: list[Mono] = []
+    prev_ker: list = []
+    for d in range(1, n + 1):
+        if d == 2:
+            cols = sorted(monomials_of_degree(n, 2), key=revlex_key, reverse=True)
+        else:
+            cols = squarefree_monomials(n, d)
         idx = {m: j for j, m in enumerate(cols)}
-        ker = _contraction_kernel(n, field, F, cols)
         span = Echelon(field, len(cols))
         for v in prev_ker:
             for i in range(n):
                 w = [field.zero()] * len(cols)
-                touched = False
                 for m, c in zip(prev_cols, v):
-                    if field.is_zero(c) or m[i]:
-                        continue  # a square appears and projects away
-                    mm = list(m)
-                    mm[i] = 1
-                    j = idx[tuple(mm)]
-                    w[j] = field.add(w[j], c)
-                    touched = True
-                if touched:
-                    span.insert(w)
+                    j = idx.get(m[:i] + (m[i] + 1,) + m[i + 1:])
+                    if j is not None and not field.is_zero(c):
+                        w[j] = field.add(w[j], c)
+                span.insert(w)
+        ker = _contraction_kernel(n, field, F, cols)
         for v in ker:
-            residue = span.insert(list(v))
+            # nothing lies below degree one, so its kernel basis stays as it is
+            residue = v if d == 1 else span.insert(list(v))
             if residue is not None:
-                gens.append(poly_from(cols, residue))
+                terms = [(m, c) for m, c in zip(cols, residue) if not field.is_zero(c)]
+                gens.append(Polynomial(n, field, terms).monic())
         prev_cols, prev_ker = cols, ker
     return gens
 
@@ -273,7 +241,7 @@ def hessian(n: int, i: int, field: Field = QQ) -> HessianMatrix:
     F = inverse_form(n, field)
     basis = squarefree_monomials(n, i)
     polys = [Polynomial.monomial(n, field, m) for m in basis]
-    entries = [[contract(pu.mul(pv, None), F) for pv in polys] for pu in polys]
+    entries = [[contract(pu.mul(pv), F) for pv in polys] for pu in polys]
     return HessianMatrix(n, i, basis, entries, field)
 
 

@@ -1,12 +1,12 @@
 """Gröbner bases, polynomial division and monomial ideals.
 
 Everything is in the graded reverse lexicographic order with x1 > x2 > ....
-``groebner_basis`` reads the reduced basis of a homogeneous ideal off the
-reduced echelon forms that :class:`.quotient.QuotientRing` keeps in every
-degree (the Macaulay-matrix view of Gröbner bases).  Polynomial division,
-S-polynomials and the Buchberger criterion stay here as an independent
-certificate: ``is_groebner_basis`` checks a basis without knowing how it
-was found.
+``groebner_basis`` reads the complete reduced basis of a homogeneous
+Artinian ideal off the reduced echelon forms that
+:class:`.quotient.QuotientRing` keeps in every degree (the Macaulay-matrix
+view of Gröbner bases).  Polynomial division, S-polynomials and the
+Buchberger criterion stay here as an independent certificate:
+``is_groebner_basis`` checks a basis without knowing how it was found.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DegreeCapExceeded
 from .fields import Field
 from .poly import (
     Mono,
@@ -56,14 +55,14 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
             h = h - Polynomial.monomial(h.n, field, lm, lc)
         else:
             c = field.div(lc, hit.lc)
-            h = h - hit.term_mul(mono_div(lm, hit.lm), c, None)
+            h = h - hit.term_mul(mono_div(lm, hit.lm), c)
     return Polynomial(f.n, field, rem_terms, _sorted=True)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     L = mono_lcm(f.lm, g.lm)
-    a = f.term_mul(mono_div(L, f.lm), f.field.inv(f.lc), None)
-    b = g.term_mul(mono_div(L, g.lm), g.field.inv(g.lc), None)
+    a = f.term_mul(mono_div(L, f.lm), f.field.inv(f.lc))
+    b = g.term_mul(mono_div(L, g.lm), g.field.inv(g.lc))
     return a - b
 
 
@@ -123,48 +122,23 @@ class MonomialIdeal:
 
 
 class GroebnerBasis:
-    """A reduced basis, possibly only complete through a degree cap.
+    """The complete reduced Gröbner basis of a homogeneous ideal."""
 
-    When ``truncated_at`` is an integer D, the basis decides membership and
-    initial-ideal questions for homogeneous elements of degree <= D only;
-    asking beyond that raises DegreeCapExceeded rather than guessing.
-    """
+    __slots__ = ("n", "field", "polys")
 
-    __slots__ = ("n", "field", "polys", "truncated_at")
-
-    def __init__(self, n: int, field: Field, polys: Sequence[Polynomial], truncated_at: int | None = None):
+    def __init__(self, n: int, field: Field, polys: Sequence[Polynomial]):
         self.n = n
         self.field = field
         self.polys = tuple(polys)
-        self.truncated_at = truncated_at
-
-    @property
-    def is_complete(self) -> bool:
-        return self.truncated_at is None
-
-    def _guard(self, degree: int):
-        if self.truncated_at is not None and degree > self.truncated_at:
-            raise DegreeCapExceeded(
-                self.truncated_at,
-                f"basis is only complete through degree {self.truncated_at}, asked about degree {degree}",
-            )
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        self._guard(f.degree)
         return normal_form(f, self)
 
-    def initial_ideal(self, through_degree: int | None = None) -> MonomialIdeal:
-        if through_degree is not None:
-            self._guard(through_degree)
-            return MonomialIdeal(self.n, [g.lm for g in self.polys if g.degree <= through_degree])
-        if not self.is_complete:
-            raise DegreeCapExceeded(self.truncated_at, "initial ideal of a truncated basis needs through_degree")
+    def initial_ideal(self) -> MonomialIdeal:
         return MonomialIdeal(self.n, [g.lm for g in self.polys])
 
     def standard_monomials(self, d: int) -> list[Mono]:
-        self._guard(d)
-        lead = MonomialIdeal(self.n, [g.lm for g in self.polys if g.degree <= d])
-        return lead.standard_monomials(d)
+        return self.initial_ideal().standard_monomials(d)
 
     def standard_count(self, d: int) -> int:
         return len(self.standard_monomials(d))
@@ -176,64 +150,44 @@ class GroebnerBasis:
         return len(self.polys)
 
     def __repr__(self):
-        trunc = "" if self.is_complete else f", truncated_at={self.truncated_at}"
-        return f"GroebnerBasis(n={self.n}, {len(self.polys)} elements{trunc})"
+        return f"GroebnerBasis(n={self.n}, {len(self.polys)} elements)"
 
 
-def groebner_basis(generators: Sequence[Polynomial], *, degree_cap: int | None = None) -> GroebnerBasis:
-    """The reduced Gröbner basis of a homogeneous ideal, read off its quotient ring.
+def groebner_basis(generators: Sequence[Polynomial]) -> GroebnerBasis:
+    """The reduced Gröbner basis of a homogeneous Artinian ideal, read off its quotient ring.
 
     The minimal generators of in(I) are among the leading monomials of the
-    ring's base B and the pivots of its echelon forms; each one, m, gives the
-    element m - nf(m).  The basis is complete once the Hilbert function
-    reaches zero.  If the degree cap comes first, it is truncated at the cap
-    unless the ring is complete there anyway (``QuotientRing.is_complete``);
-    a lead of B above the cap then gives its element of B reduced modulo the
-    rest of B.  A non-Artinian ideal needs a cap.
+    ring's base B and the pivots of its echelon forms through one past the
+    socle degree; each one, m, gives the element m - nf(m).  A non-Artinian
+    ideal raises ValueError.
     """
     from .quotient import QuotientRing  # quotient builds on this module
 
     if not any(generators):
         raise ValueError("the zero ideal has no Gröbner basis to read off")
-    ring = QuotientRing(generators, degree_cap=degree_cap)
-    if degree_cap is None and not ring.is_artinian:
-        raise ValueError("the Gröbner basis of a non-Artinian ideal needs a degree cap")
-    truncated = None if ring.is_complete else degree_cap
-    d = 0
-    while d != degree_cap and ring.hilbert_function(d):
-        d += 1
-
-    def element(m: Mono) -> Polynomial:
-        lead = Polynomial.monomial(ring.n, ring.field, m)
-        if truncated is None or lead.degree <= truncated:
-            return lead - ring.nf(lead)
-        return normal_form(next(b for b in ring.base if b.lm == m), [b for b in ring.base if b.lm != m])
-
-    return GroebnerBasis(ring.n, ring.field, [element(m) for m in ring.initial_generators(d)], truncated)
+    ring = QuotientRing(generators)
+    if not ring.is_artinian:
+        raise ValueError("groebner_basis reads the basis of an Artinian ideal only")
+    leads = (Polynomial.monomial(ring.n, ring.field, m) for m in ring.initial_generators(ring.socle_degree() + 1))
+    return GroebnerBasis(ring.n, ring.field, [lead - ring.nf(lead) for lead in leads])
 
 
 def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
     """Check the Buchberger criterion directly: every S-polynomial reduces to zero."""
     gens = [g for g in polys if g]
     for f, g in combinations(gens, 2):
-        if mono_lcm(f.lm, g.lm) == mono_mul(f.lm, g.lm, None):
+        if mono_lcm(f.lm, g.lm) == mono_mul(f.lm, g.lm):
             continue
         if normal_form(s_polynomial(f, g), gens):
             return False
     return True
 
 
-def ideal_equal(
-    gens_a: Sequence[Polynomial],
-    gens_b: Sequence[Polynomial],
-    *,
-    degree_bound: int | None = None,
-) -> bool:
+def ideal_equal(gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial]) -> bool:
     """Equality of two homogeneous ideals by mutual membership of the generators.
 
     Each generator of one ideal is reduced against the other ideal's echelon
-    form in its own degree.  ``degree_bound`` (default 2n) must be at least
-    the top generator degree.
+    form in its own degree.
     """
     from .quotient import QuotientRing  # quotient builds on this module
 
@@ -241,11 +195,6 @@ def ideal_equal(
     b = [g for g in gens_b if g]
     if not a or not b:
         return not a and not b
-    if degree_bound is None:
-        degree_bound = 2 * a[0].n
-    top = max(g.degree for g in a + b)
-    if top > degree_bound:
-        raise DegreeCapExceeded(degree_bound, f"generator of degree {top} exceeds the comparison bound")
     ring_a, ring_b = QuotientRing(a), QuotientRing(b)
     return not any(ring_b.nf(g) for g in a) and not any(ring_a.nf(g) for g in b)
 

@@ -281,26 +281,26 @@ def _scale_row_to_int(row):
     return out
 
 
-def qq_rank(rows) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination on scaled integers."""
-    M = [_scale_row_to_int(r) for r in rows if any(x != 0 for x in r)]
-    if not M:
-        return 0
-    nrows, ncols = len(M), len(M[0])
+def _bareiss(M: list) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+
+    Returns the rank and the last pivot times the sign of the row swaps,
+    which for a square matrix of full rank is its determinant.
+    """
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
     r = 0
     prev = 1
+    sign = 1
     for c in range(ncols):
         if r == nrows:
             break
-        piv = None
-        for i in range(r, nrows):
-            if M[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if M[i][c] != 0), None)
         if piv is None:
             continue
         if piv != r:
             M[piv], M[r] = M[r], M[piv]
+            sign = -sign
         p = M[r][c]
         Mr = M[r]
         for i in range(r + 1, nrows):
@@ -311,38 +311,23 @@ def qq_rank(rows) -> int:
             Mi[c] = 0
         prev = p
         r += 1
-    return r
+    return r, sign * prev
+
+
+def qq_rank(rows) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination on scaled integers."""
+    return _bareiss([_scale_row_to_int(r) for r in rows if any(x != 0 for x in r)])[0]
 
 
 def int_det_bareiss(rows) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
-    M = [list(map(int, r)) for r in rows]
-    n = len(M)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if M[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            M[piv], M[c] = M[c], M[piv]
-            sign = -sign
-        p = M[c][c]
-        Mc = M[c]
-        for i in range(c + 1, n):
-            Mi = M[i]
-            mic = Mi[c]
-            for k in range(c + 1, n):
-                Mi[k] = (p * Mi[k] - mic * Mc[k]) // prev
-            Mi[c] = 0
-        prev = p
-    return sign * M[n - 1][n - 1]
+    """Determinant of a square matrix of integers (ints or integral Fractions), fraction-free."""
+    if any(x != int(x) for r in rows for x in r):
+        raise ValueError("the determinant needs integer entries")
+    M = [[int(x) for x in r] for r in rows]
+    if any(len(r) != len(M) for r in M):
+        raise ValueError("the determinant needs a square matrix")
+    rk, last = _bareiss(M)
+    return last if rk == len(M) else 0
 
 
 # ----------------------------------------------------------------------

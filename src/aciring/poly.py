@@ -13,12 +13,10 @@ import itertools
 import re
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatch, ExponentCapExceeded
+from .errors import DimensionMismatch
 from .fields import Field, QQ, check_same_field
 
 Mono = tuple  # exponent tuple, one entry per variable
-
-DEFAULT_EXPONENT_CAP = 4
 
 
 # ----------------------------------------------------------------------
@@ -33,13 +31,8 @@ def mono_deg(m: Mono) -> int:
     return sum(m)
 
 
-def mono_mul(a: Mono, b: Mono, cap: int = DEFAULT_EXPONENT_CAP) -> Mono:
-    prod = tuple(x + y for x, y in zip(a, b))
-    if cap is not None:
-        worst = max(prod)
-        if worst > cap:
-            raise ExponentCapExceeded(worst, cap)
-    return prod
+def mono_mul(a: Mono, b: Mono) -> Mono:
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
@@ -192,23 +185,23 @@ class Polynomial:
         mul = self.field.mul
         return Polynomial(self.n, self.field, tuple((m, mul(coeff, c)) for m, coeff in self.terms), _sorted=True)
 
-    def term_mul(self, m: Mono, c, cap: int = DEFAULT_EXPONENT_CAP) -> "Polynomial":
+    def term_mul(self, m: Mono, c) -> "Polynomial":
         """Multiply by the single term c * x^m.  Preserves the sort order."""
         mul = self.field.mul
         return Polynomial(
             self.n, self.field,
-            tuple((mono_mul(mm, m, cap), mul(cc, c)) for mm, cc in self.terms),
+            tuple((mono_mul(mm, m), mul(cc, c)) for mm, cc in self.terms),
             _sorted=True,
         )
 
-    def mul(self, other: "Polynomial", cap: int = DEFAULT_EXPONENT_CAP) -> "Polynomial":
+    def mul(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         field = self.field
         acc: dict = {}
         short, long_ = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
         for m1, c1 in short:
             for m2, c2 in long_:
-                m = mono_mul(m1, m2, cap)
+                m = mono_mul(m1, m2)
                 c = field.mul(c1, c2)
                 cur = acc.get(m)
                 acc[m] = c if cur is None else field.add(cur, c)
@@ -223,17 +216,17 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def power(self, k: int, cap: int = DEFAULT_EXPONENT_CAP) -> "Polynomial":
+    def power(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power")
         result = Polynomial.constant(self.n, self.field, self.field.one())
         base = self
         while k:
             if k & 1:
-                result = result.mul(base, cap)
+                result = result.mul(base)
             k >>= 1
             if k:
-                base = base.mul(base, cap)
+                base = base.mul(base)
         return result
 
     def monic(self) -> "Polynomial":

@@ -228,7 +228,7 @@ class QuotientRing:
         src = self.basis(d)
         M = [[self.field.zero()] * len(src) for _ in range(self.hilbert_function(d + e))]
         for j, m in enumerate(src):
-            for r, c in enumerate(self._reduce(d + e, [(mono_mul(t, m, None), c) for t, c in f.terms])):
+            for r, c in enumerate(self._reduce(d + e, [(mono_mul(t, m), c) for t, c in f.terms])):
                 M[r][j] = c
         return M
 
@@ -298,7 +298,7 @@ class QuotientRing:
         and rows (degree, dim ann, dim principal).
         """
         xi = Polynomial.variable(self.n, self.field, i)
-        if self.nf(xi.mul(xi, None)):
+        if self.nf(xi.mul(xi)):
             raise ValueError("variable_annihilator_is_principal expects x_i^2 to vanish in the ring")
         return self._annihilator_is_principal(xi)
 
@@ -467,7 +467,7 @@ def exact_zero_divisor_check(q: QuotientRing, v: Polynomial) -> bool:
     """
     if v.degree != 1:
         raise ValueError("expected a linear form")
-    return not q.nf(v.mul(v, None)) and q._annihilator_is_principal(v)[0]
+    return not q.nf(v.mul(v)) and q._annihilator_is_principal(v)[0]
 
 
 def regular_element_check(q: QuotientRing, v: Polynomial, degree_bound: int) -> bool:

@@ -180,12 +180,7 @@ def _check_three_way(n: int, field):
     _, colon = gorenstein_presentation(n, field)
     orbit = G_from_orbit(n, field)
     dual = ann_of_form(n, field)
-    bound = 2 * n
-    ok = (
-        ideal_equal(colon, orbit, degree_bound=bound)
-        and ideal_equal(orbit, dual, degree_bound=bound)
-        and ideal_equal(colon, dual, degree_bound=bound)
-    )
+    ok = ideal_equal(colon, orbit) and ideal_equal(orbit, dual) and ideal_equal(colon, dual)
     return "three equal ideals", "equal" if ok else "different", ok
 
 

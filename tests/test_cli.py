@@ -16,7 +16,7 @@ import aciring
 from aciring import cache, cli
 from aciring.cache import cache_dir
 from aciring.cli import main
-from aciring.errors import BoundTooSmall, DegreeCapExceeded, DimensionMismatch, ExponentCapExceeded, FieldMismatch
+from aciring.errors import BoundTooSmall, DegreeCapExceeded, DimensionMismatch, FieldMismatch
 from aciring.verify import CheckRecord, VerificationReport
 
 R4_TABLE_TEXT = (
@@ -338,12 +338,27 @@ def test_out_writes_file(capsys, tmp_path):
     assert target.read_text() == "1 3 3 1\n"
 
 
-def test_out_unwritable_exits_two(capsys, tmp_path):
-    for target in (tmp_path / "missing" / "x.txt", tmp_path):
-        code, out, err = run_cli(capsys, "sequence", "rho", "--n", "4", "--out", str(target))
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot write {target}: ")
-        assert err.count("\n") == 1
+def test_out_unwritable_exits_two(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "rho_sequence", lambda n: calls.append(n) or [1])
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: calls.append(a))
+    reasons = {tmp_path / "missing" / "x.txt": "No such file or directory", tmp_path: "Is a directory"}
+    for target, reason in reasons.items():
+        for argv in (["sequence", "rho", "--n", "4", "--no-cache"], ["verify", "--suite", "groebner"]):
+            result = run_cli(capsys, *argv, "--out", str(target))
+            assert result == (2, "", f"error: cannot write {target}: {reason}\n")
+    assert calls == []
+
+    def fail(args, parser):
+        raise DegreeCapExceeded(1)
+
+    # a computation that fails neither creates nor truncates the file
+    monkeypatch.setitem(cli._DISPATCH, "hilbert", fail)
+    fresh, old = tmp_path / "fresh.txt", tmp_path / "old.txt"
+    old.write_text("kept\n")
+    for target in (fresh, old):
+        assert run_cli(capsys, "hilbert", "--ring", "P", "--n", "3", "--out", str(target))[0] == 3
+    assert not fresh.exists() and old.read_text() == "kept\n"
 
 
 def test_usage_errors_exit_two(capsys):
@@ -380,7 +395,6 @@ def test_degree_cap_exhaustion_exits_three(capsys):
     "exc, code, message",
     [
         (DegreeCapExceeded(2, "asked about degree 3"), 3, "resource cap exceeded: asked about degree 3"),
-        (ExponentCapExceeded(5, 4), 3, "resource cap exceeded: exponent 5 exceeds cap 4"),
         (ValueError("no such ring"), 2, "no such ring"),
         (DimensionMismatch("3 vs 4 variables"), 4, "internal failure: DimensionMismatch: 3 vs 4 variables"),
         (FieldMismatch("QQ vs GF(7)"), 4, "internal failure: FieldMismatch: QQ vs GF(7)"),

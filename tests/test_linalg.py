@@ -188,6 +188,14 @@ def test_int_det_bareiss_matches_oracle():
             assert int_det_bareiss([row[:] for row in M]) == fraction_det(M)
 
 
+def test_int_det_bareiss_refuses_non_integral_entries():
+    assert int_det_bareiss([[Fraction(4, 2), 0], [0, Fraction(3)]]) == 6
+    assert int_det_bareiss([[1, 2], [2, 4]]) == 0
+    for M in ([[Fraction(1, 2)]], [[Fraction(3, 2), 0], [0, 2]], [[1, 2]]):
+        with pytest.raises(ValueError):
+            int_det_bareiss(M)
+
+
 def test_rref_shape_and_pivots():
     M = [
         [Fraction(0), Fraction(2), Fraction(4)],

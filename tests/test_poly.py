@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aciring.errors import DimensionMismatch, ExponentCapExceeded
+from aciring.errors import DimensionMismatch
 from aciring.fields import GF, QQ
 from aciring.poly import (
     DividedPowerForm,
@@ -86,13 +86,13 @@ def test_monomial_enumeration_counts():
 
 def test_product_worked_examples():
     f = P("x1 + x2", 2)
-    assert f.mul(f, None) == P("x1^2 + 2*x1*x2 + x2^2", 2)
+    assert f.mul(f) == P("x1^2 + 2*x1*x2 + x2^2", 2)
     assert not (f - f)  # zero polynomial has empty term list
     h3 = variable_sum(3)
-    assert h3.mul(h3, None) == P(
+    assert h3.mul(h3) == P(
         "x1^2 + x2^2 + x3^2 + 2*x1*x2 + 2*x1*x3 + 2*x2*x3", 3
     )
-    assert squared_variable_sum(3) == h3.mul(h3, None)
+    assert squared_variable_sum(3) == h3.mul(h3)
 
 
 coeffs = st.integers(min_value=-3, max_value=3)
@@ -110,16 +110,16 @@ def _poly_strategy(n, field):
 @settings(max_examples=60)
 @given(_poly_strategy(3, QQ), _poly_strategy(3, QQ), _poly_strategy(3, QQ))
 def test_ring_laws_rationals(f, g, h):
-    assert f.mul(g, None) == g.mul(f, None)
-    assert (f + g).mul(h, None) == f.mul(h, None) + g.mul(h, None)
-    assert f.mul(g.mul(h, None), None) == f.mul(g, None).mul(h, None)
+    assert f.mul(g) == g.mul(f)
+    assert (f + g).mul(h) == f.mul(h) + g.mul(h)
+    assert f.mul(g.mul(h)) == f.mul(g).mul(h)
     assert f + (-f) == Polynomial(3, QQ, [])
 
 
 @settings(max_examples=60)
 @given(_poly_strategy(3, GF(5)), _poly_strategy(3, GF(5)))
 def test_mul_matches_dict_oracle_gf5(f, g):
-    got = f.mul(g, None)
+    got = f.mul(g)
     want = dict_mul(dict(f.terms), dict(g.terms))
     want = {m: c % 5 for m, c in want.items() if c % 5}
     assert dict(got.terms) == want
@@ -128,7 +128,7 @@ def test_mul_matches_dict_oracle_gf5(f, g):
 @settings(max_examples=60)
 @given(_poly_strategy(2, QQ), _poly_strategy(2, QQ))
 def test_mul_matches_dict_oracle_qq(f, g):
-    got = f.mul(g, None)
+    got = f.mul(g)
     want = {m: c for m, c in dict_mul(dict(f.terms), dict(g.terms)).items() if c}
     assert dict(got.terms) == want
 
@@ -140,12 +140,13 @@ def test_terms_stay_sorted_and_nonzero():
     assert all(c != 0 for _, c in f.terms)
 
 
-def test_exponent_cap_enforced():
+def test_exponents_have_no_cap():
     f = P("x1^2", 2)
-    with pytest.raises(ExponentCapExceeded):
-        f.mul(f.mul(f))  # x1^6 exceeds the default cap of 4
-    # cap=None lifts the guard entirely
-    assert f.mul(f.mul(f, None), None).lm == (6, 0)
+    assert f.mul(f.mul(f)).lm == (6, 0)
+    assert (f * f * f).lm == (6, 0)
+    assert P("x1 + x2", 2).power(5) == P(
+        "x1^5 + 5*x1^4*x2 + 10*x1^3*x2^2 + 10*x1^2*x2^3 + 5*x1*x2^4 + x2^5", 2
+    )
 
 
 def test_parse_format_round_trip():
@@ -210,4 +211,4 @@ def test_contract_h_squared_on_top_form():
 @given(_poly_strategy(3, QQ), _poly_strategy(3, QQ))
 def test_contract_is_module_action(f, g):
     F = DividedPowerForm(3, QQ, [((1, 1, 1), Fraction(1)), ((2, 1, 0), Fraction(-2))])
-    assert contract(f.mul(g, None), F) == contract(f, contract(g, F))
+    assert contract(f.mul(g), F) == contract(f, contract(g, F))

@@ -104,7 +104,7 @@ def test_mult_map_columns_are_normal_forms():
     f = var(3, 0) + var(3, 1)
     mm = mult_map(R3, f, 1)
     for j, m in enumerate(R3.basis(1)):
-        image = R3.nf(f.mul(Polynomial.monomial(3, QQ, m), None))
+        image = R3.nf(f.mul(Polynomial.monomial(3, QQ, m)))
         col = [mm.matrix[i][j] for i in range(mm.shape()[0])]
         assert R3.from_vector(2, col) == image
 
@@ -180,7 +180,7 @@ def test_p_has_strong_lefschetz():
         P = ring("P", n)
         h = variable_sum(n, QQ)
         for j in range(1, n + 1):
-            assert max_rank_check(P, h.power(j, None))
+            assert max_rank_check(P, h.power(j))
 
 
 # ---------------------------------------------------------------------------
