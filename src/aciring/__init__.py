@@ -44,13 +44,10 @@ from .quotient import (
     GradedModuleSpan,
     QuotientRing,
     annihilator,
-    build_quotient,
     exact_zero_divisor_check,
     hilbert_function,
     max_rank_check,
-    mult_map,
     regular_element_check,
-    socle,
 )
 from .resolution import (
     BettiTable,
@@ -110,7 +107,6 @@ __all__ = [
     "ballot_sequences",
     "betti_strand",
     "betti_table_formula",
-    "build_quotient",
     "catalan",
     "contract",
     "default_characteristic",
@@ -135,7 +131,6 @@ __all__ = [
     "named_quotient",
     "lifting_identity_check",
     "max_rank_check",
-    "mult_map",
     "multiplicity_R",
     "normal_form",
     "parse_form",
@@ -146,7 +141,6 @@ __all__ = [
     "regular_element_check",
     "rho_sequence",
     "slp_check_A",
-    "socle",
     "squared_variable_sum",
     "squares_ideal",
     "symmetric_orbit",

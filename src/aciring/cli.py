@@ -29,6 +29,7 @@ import json
 import os
 import re
 import sys
+import warnings
 
 from . import __version__
 from .cache import cache_key, lookup, store
@@ -486,7 +487,12 @@ def main(argv=None) -> int:
         print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
         return 2
     try:
-        text, code = _DISPATCH[args.command](args, parser)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                text, code = _DISPATCH[args.command](args, parser)
+            finally:  # each distinct warning once, as one line
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"warning: {message}", file=sys.stderr)
     except DegreeCapExceeded as exc:
         print(f"error: resource cap exceeded: {exc}", file=sys.stderr)
         return 3

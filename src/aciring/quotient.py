@@ -11,6 +11,13 @@ in(B), the other columns are the standard monomials, and reducing against
 the form gives normal forms: the Macaulay-matrix view of Gröbner bases
 (Lazard, EUROCAL '83; Faugère's F4, JPAA 139, 1999).  A degree cap stops
 the elimination; see ``QuotientRing.is_complete``.
+
+Subspaces of the ring grow by the same rule: the degree-d piece of an ideal
+is x_1..x_n times its degree-(d-1) piece plus its degree-d generators.
+``QuotientRing.times_variable`` applies x_i to coordinate vectors through
+the cached variable maps, and both the annihilator of an element and a
+``GradedModuleSpan`` are built with it.  ``multiplication_map`` only
+multiplies by a given element.
 """
 
 from __future__ import annotations
@@ -239,20 +246,23 @@ class QuotientRing:
             self._varmap_cache[key] = self.multiplication_map(xi, d)
         return self._varmap_cache[key]
 
+    def times_variable(self, i: int, d: int, vectors) -> list:
+        """x_i times each degree-d coordinate vector, as degree-(d+1) coordinate vectors."""
+        if not vectors:
+            return []
+        M = self.variable_map(i, d)
+        if not M:
+            return [[] for _ in vectors]
+        return matmul([list(v) for v in vectors], [list(col) for col in zip(*M)], self.field)
+
     # -- socle -------------------------------------------------------------
 
-    def socle_dimension(self, d: int) -> int:
-        """dim of {v in degree d : x_i v = 0 for all i}."""
-        hd = self.hilbert_function(d)
-        if hd == 0:
-            return 0
-        stacked = []
-        for i in range(self.n):
-            stacked.extend(self.variable_map(i, d))
-        return hd - rank(stacked, self.field)
-
     def socle_dimensions(self) -> list[int]:
-        return [self.socle_dimension(d) for d in range(self.socle_degree() + 1)]
+        """dim of {v in degree d : x_i v = 0 for all i}, for d from 0 to the socle degree."""
+        return [
+            self.hilbert_function(d) - rank([row for i in range(self.n) for row in self.variable_map(i, d)], self.field)
+            for d in range(self.socle_degree() + 1)
+        ]
 
     # -- annihilators --------------------------------------------------------
 
@@ -260,27 +270,27 @@ class QuotientRing:
         """Minimal generators of {g : g * f = 0}, as lifted normal forms.
 
         Works degree by degree: in each degree the annihilator piece is the
-        kernel of the multiplication-by-f matrix, and new generators are the
-        kernel vectors that the ideal generated so far does not already span.
-        Multipliers for the span only need to run over standard monomials.
+        kernel of the multiplication-by-f matrix.  The ideal generated so far
+        fills the kernel of degree d-1, so its degree-d piece is x_k times
+        that kernel, over every k.  New generators are the kernel vectors
+        that this piece does not already span.
         """
         if through_degree is None:
             if not self.is_artinian:
                 raise ValueError("annihilator in a non-Artinian ring needs through_degree")
             through_degree = self.socle_degree()
         gens: list[Polynomial] = []
+        ker: list = []
         for d in range(through_degree + 1):
             hd = self.hilbert_function(d)
             if hd == 0:
                 break
-            M = self.multiplication_map(f, d)
-            ker = kernel_basis(M, self.field, ncols=hd)
-            if len(ker) == 0:
-                continue
+            below, ker = ker, kernel_basis(self.multiplication_map(f, d), self.field, ncols=hd)
             span = Echelon(self.field, hd)
-            for g in gens:
-                for col in zip(*self.multiplication_map(g, d - g.degree)):
-                    span.insert(col)
+            for v in chain.from_iterable(self.times_variable(k, d - 1, below) for k in range(self.n)):
+                if span.rank == len(ker):
+                    break
+                span.insert(v)
             if span.rank == len(ker):
                 continue  # ideal so far already fills the kernel
             for v in ker:
@@ -312,17 +322,14 @@ class QuotientRing:
         return all(ann == principal for _, ann, principal in rows), rows
 
 
-def ring_of_polynomials(n: int, field: Field) -> QuotientRing:
-    """The ambient ring itself (zero ideal)."""
-    return QuotientRing((), n=n, field=field, name="Q")
-
-
 class GradedModuleSpan:
     """A graded submodule of a quotient ring, e.g. G/J sitting inside P.
 
     Keeps one reduced echelon basis per degree and exposes the same
     degreewise interface the resolution engines use on rings:
-    ``hilbert_function``, ``variable_map``, ``socle_degree``.
+    ``hilbert_function``, ``variable_map``, ``socle_degree``.  The degree-d
+    piece is x_k times the degree-(d-1) piece, over every k, plus the
+    generators of degree d.
     """
 
     def __init__(self, ambient: QuotientRing, generators: Sequence[Polynomial], name: str = ""):
@@ -338,10 +345,12 @@ class GradedModuleSpan:
         if d not in self._span_cache:
             ech = Echelon(self.field, self.ambient.hilbert_function(d))
             if ech.ncols:
+                below = self._span(d - 1).rows if d > 0 else []
+                for v in chain.from_iterable(self.ambient.times_variable(k, d - 1, below) for k in range(self.n)):
+                    ech.insert(v)
                 for g in self.generators:
-                    if 0 <= g.degree <= d:
-                        for col in zip(*self.ambient.multiplication_map(g, d - g.degree)):
-                            ech.insert(col)
+                    if g.degree == d:
+                        ech.insert(self.ambient.to_vector(g, d))
             self._span_cache[d] = ech
         return self._span_cache[d]
 
@@ -369,33 +378,13 @@ class GradedModuleSpan:
         is simply its entry at the row's pivot column.
         """
         key = (i, d)
-        if key in self._varmap_cache:
-            return self._varmap_cache[key]
-        src = self._span(d)
-        tgt = self._span(d + 1)
-        M = [[self.field.zero()] * src.rank for _ in range(tgt.rank)]
-        if src.rank and tgt.ncols:
-            # column c: x_i times source row c, in ambient coordinates
-            images = matmul(self.ambient.variable_map(i, d), [list(col) for col in zip(*src.rows)], self.field)
-            if not all(tgt.contains(col) for col in zip(*images)):
+        if key not in self._varmap_cache:
+            images = self.ambient.times_variable(i, d, self._span(d).rows)  # x_i times each source row
+            tgt = self._span(d + 1)
+            if not all(tgt.contains(v) for v in images):
                 raise AssertionError("submodule span is not closed under multiplication")
-            M = [images[piv] for piv in tgt.pivots]
-        self._varmap_cache[key] = M
-        return M
-
-
-class GradedMap:
-    """An exact matrix between two graded pieces (rows: target, columns: source)."""
-
-    __slots__ = ("source_degree", "target_degree", "matrix")
-
-    def __init__(self, source_degree: int, target_degree: int, matrix):
-        self.source_degree = source_degree
-        self.target_degree = target_degree
-        self.matrix = matrix
-
-    def shape(self) -> tuple[int, int]:
-        return (len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
+            self._varmap_cache[key] = [[v[piv] for v in images] for piv in tgt.pivots]
+        return self._varmap_cache[key]
 
 
 # ----------------------------------------------------------------------
@@ -403,26 +392,9 @@ class GradedMap:
 # ----------------------------------------------------------------------
 
 
-def build_quotient(
-    ideal: Sequence[Polynomial],
-    degree_bound: int | None = None,
-    *,
-    n: int | None = None,
-    field: Field | None = None,
-    name: str = "",
-) -> QuotientRing:
-    """Quotient of the polynomial ring by a homogeneous ideal."""
-    return QuotientRing(ideal, n=n, field=field, degree_cap=degree_bound, name=name)
-
-
 def hilbert_function(q: QuotientRing, through: int | None = None) -> list[int]:
     """The Hilbert function of the quotient as a sequence from degree 0."""
     return q.hilbert_series(through)
-
-
-def mult_map(q: QuotientRing, f: Polynomial, d: int) -> GradedMap:
-    """Multiplication by a homogeneous f from degree d, as an exact matrix."""
-    return GradedMap(d, d + f.degree, q.multiplication_map(f, d))
 
 
 def annihilator(q: QuotientRing, f: Polynomial, through_degree: int | None = None) -> list[Polynomial]:
@@ -432,11 +404,6 @@ def annihilator(q: QuotientRing, f: Polynomial, through_degree: int | None = Non
     kernel generators of multiplication by f (the colon construction).
     """
     return list(q.generators) + q.annihilator_of_element(f, through_degree)
-
-
-def socle(q: QuotientRing) -> list[int]:
-    """Dimension of the joint kernel of all variable multiplications, per degree."""
-    return q.socle_dimensions()
 
 
 def max_rank_check(q: QuotientRing, f: Polynomial, through: int | None = None) -> bool:

@@ -31,7 +31,6 @@ from aciring import (
     predicted_initial_ideal,
     rho_sequence,
     slp_check_A,
-    socle,
     squared_variable_sum,
 )
 from aciring.poly import Polynomial
@@ -187,7 +186,7 @@ def test_criterion_05_catalan_socle():
     for n in range(2, 8):
         l = ell_of(n)
         cat = catalan(l + 2)
-        dims = socle(ring("R", n))
+        dims = ring("R", n).socle_dimensions()
         c.check(
             [d for d, s in enumerate(dims) if s] == [n - l - 1],
             f"socle of R not level at n={n}: {dims}",

@@ -4,6 +4,7 @@ cache, and exit codes.  Each test runs against an isolated cache directory.
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -205,6 +206,16 @@ def test_gorenstein_json_matches_schema(capsys):
     assert result["orbit_generator"] == "x1 - x2"
     assert result["initial_ideals_match"] is True
     assert result["slp"] is True
+
+
+def test_gorenstein_positive_characteristic_warns_on_one_line(capsys):
+    code, out, err = run_cli(capsys, "gorenstein", "--n", "4", "--char", "7", "--no-cache")
+    assert code == 0
+    assert out.splitlines()[-1] == "slp: true"
+    assert err == (
+        "warning: the Hessian-determinant criterion applies in characteristic zero; "
+        "using only the direct rank route over GF(7)\n"
+    )
 
 
 def test_gorenstein_refuses_csv(capsys):
@@ -416,6 +427,19 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("aciring ")
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines() if line.startswith("aciring ")]
+    assert len(lines) >= 8
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
 
 
 def test_public_names_resolve():

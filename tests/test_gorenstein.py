@@ -9,10 +9,10 @@ import pytest
 from aciring import (
     QQ,
     G_from_orbit,
+    QuotientRing,
     ann_of_form,
     annihilator,
     ballot_sequences,
-    build_quotient,
     disjointness_invertible,
     disjointness_matrix,
     format_poly,
@@ -61,7 +61,7 @@ def test_orbit_ideal_sizes():
 
 
 def test_orbit_ideal_n4_quotient_hilbert():
-    assert hilbert_function(build_quotient(G_from_orbit(4, QQ))) == [1, 4, 1]
+    assert hilbert_function(QuotientRing(G_from_orbit(4, QQ))) == [1, 4, 1]
 
 
 def test_three_descriptions_of_g_agree():
@@ -155,7 +155,7 @@ def test_ann_of_form_generators_n3_n4():
 
 
 def test_ann_of_form_n4_quotient_hilbert():
-    assert hilbert_function(build_quotient(ann_of_form(4, QQ))) == [1, 4, 1]
+    assert hilbert_function(QuotientRing(ann_of_form(4, QQ))) == [1, 4, 1]
 
 
 def test_ann_of_form_n5_equals_orbit_ideal():

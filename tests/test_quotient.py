@@ -18,21 +18,20 @@ from aciring import (
     QuotientRing,
     ann_of_form,
     annihilator,
-    build_quotient,
     exact_zero_divisor_check,
     hilbert_function,
     max_rank_check,
-    mult_map,
     named_quotient,
     primed_aci_ideal,
     primed_squares_ideal,
     regular_element_check,
-    socle,
     squared_variable_sum,
     squares_ideal,
     variable_sum,
 )
 from aciring.linalg import rank
+from aciring.quotient import GradedModuleSpan
+from aciring.resolution import gorenstein_presentation
 
 from _oracle import hilbert_function_slow
 
@@ -76,36 +75,39 @@ def test_hilbert_function_r8():
 # ---------------------------------------------------------------------------
 
 
+def shape(M) -> tuple[int, int]:
+    return (len(M), len(M[0]) if M else 0)
+
+
 def test_mult_map_by_x1_on_p2():
     P2 = ring("P", 2)
-    mm = mult_map(P2, var(2, 0), 0)
-    assert (mm.source_degree, mm.target_degree) == (0, 1)
-    assert mm.shape() == (2, 1)
+    M = P2.multiplication_map(var(2, 0), 0)
+    assert shape(M) == (2, 1)
     # degree-1 basis in descending order is (x1, x2); the image is x1
-    assert [row[0] for row in mm.matrix] == [QQ.one(), QQ.zero()]
+    assert [row[0] for row in M] == [QQ.one(), QQ.zero()]
 
 
 def test_mult_map_by_h_squared_on_p5():
     P5 = ring("P", 5)
-    mm = mult_map(P5, squared_variable_sum(5, QQ), 1)
-    assert mm.shape() == (10, 5)
-    assert rank(mm.matrix, QQ) == 5
+    M = P5.multiplication_map(squared_variable_sum(5, QQ), 1)
+    assert shape(M) == (10, 5)
+    assert rank(M, QQ) == 5
 
 
 def test_mult_map_by_h_squared_on_p4_top():
     P4 = ring("P", 4)
-    mm = mult_map(P4, squared_variable_sum(4, QQ), 2)
-    assert mm.shape() == (1, 6)
-    assert rank(mm.matrix, QQ) == 1
+    M = P4.multiplication_map(squared_variable_sum(4, QQ), 2)
+    assert shape(M) == (1, 6)
+    assert rank(M, QQ) == 1
 
 
 def test_mult_map_columns_are_normal_forms():
     R3 = ring("R", 3)
     f = var(3, 0) + var(3, 1)
-    mm = mult_map(R3, f, 1)
+    M = R3.multiplication_map(f, 1)
     for j, m in enumerate(R3.basis(1)):
         image = R3.nf(f.mul(Polynomial.monomial(3, QQ, m)))
-        col = [mm.matrix[i][j] for i in range(mm.shape()[0])]
+        col = [row[j] for row in M]
         assert R3.from_vector(2, col) == image
 
 
@@ -136,27 +138,38 @@ def test_annihilator_p7_catalan_many_cubics():
     assert all(g.degree == 3 for g in extra)
 
 
+def test_colon_generators_n3_n4_are_frozen():
+    # the lifts of (squares) : h^2 beyond the squares, in the order they are found
+    expected = {
+        3: ["x1 - x2", "x2 - x3"],
+        4: ["x1*x2 - x1*x3", "x1*x3 - x2*x3", "x2*x3 - x1*x4", "x1*x4 - x2*x4", "x2*x4 - x3*x4"],
+    }
+    for n, lifts in expected.items():
+        _, gens = gorenstein_presentation(n, QQ)
+        assert [str(g) for g in gens] == [f"x{i + 1}^2" for i in range(n)] + lifts
+
+
 # ---------------------------------------------------------------------------
 # socles
 # ---------------------------------------------------------------------------
 
 
 def test_socle_literals():
-    assert socle(ring("R", 5)) == [0, 0, 0, 5]
-    assert socle(ring("A", 5)) == [0, 0, 0, 1]
-    assert socle(ring("R", 2)) == [0, 2]
+    assert ring("R", 5).socle_dimensions() == [0, 0, 0, 5]
+    assert ring("A", 5).socle_dimensions() == [0, 0, 0, 1]
+    assert ring("R", 2).socle_dimensions() == [0, 2]
 
 
 def test_r_is_level_and_a_is_gorenstein():
     for n in range(2, 9):
         ell = (n - 2) // 2
-        dims = socle(ring("R", n))
+        dims = ring("R", n).socle_dimensions()
         nonzero = [d for d, s in enumerate(dims) if s]
         assert nonzero == [n - ell - 1]
         catalan = comb(2 * (ell + 2), ell + 2) // (ell + 3)
         assert dims[n - ell - 1] == catalan
     for n in range(3, 8):
-        dims = socle(ring("A", n))
+        dims = ring("A", n).socle_dimensions()
         assert [d for d, s in enumerate(dims) if s] == [n - 2]
         assert dims[n - 2] == 1
 
@@ -198,12 +211,12 @@ def test_exact_zero_divisor_fails_for_even_n():
 
 
 def test_regular_element_in_primed_rings():
-    R3p = build_quotient(primed_aci_ideal(3, QQ), 10, name="R'")
+    R3p = QuotientRing(primed_aci_ideal(3, QQ), degree_cap=10, name="R'")
     assert regular_element_check(R3p, var(3, 2), 8)
 
-    P5p = build_quotient(primed_squares_ideal(5, QQ), 12, name="P'")
+    P5p = QuotientRing(primed_squares_ideal(5, QQ), degree_cap=12, name="P'")
     f = primed_aci_ideal(5, QQ)[-1]  # (x1+..+x5)^2 - x5^2
-    A5p = build_quotient(annihilator(P5p, f, 6), 10, name="A'")
+    A5p = QuotientRing(annihilator(P5p, f, 6), degree_cap=10, name="A'")
     assert regular_element_check(A5p, var(5, 4), 8)
 
 
@@ -242,12 +255,12 @@ def test_primed_gorenstein_slices():
         7: ([1, 7, 21, 21, 7, 1], [1, 6, 15, 6, 1]),
     }
     for n, (h_full, h_bar) in expected.items():
-        Pp = build_quotient(primed_squares_ideal(n, QQ), 2 * n + 2, name="P'")
+        Pp = QuotientRing(primed_squares_ideal(n, QQ), degree_cap=2 * n + 2, name="P'")
         f = primed_aci_ideal(n, QQ)[-1]
         gens = annihilator(Pp, f, n + 1)
         xn = var(n, n - 1)
-        mod_square = build_quotient(gens + [xn.mul(xn)])
-        mod_var = build_quotient(gens + [xn])
+        mod_square = QuotientRing(gens + [xn.mul(xn)])
+        mod_var = QuotientRing(gens + [xn])
         assert hilbert_function(mod_square) == h_full
         assert hilbert_function(mod_var) == h_bar
 
@@ -315,7 +328,30 @@ def test_primed_rings_match_macaulay_oracle_through_their_caps(field):
     for n in (3, 4):
         cap = n + 3
         f = primed_aci_ideal(n, field)[-1]
-        Pp = build_quotient(primed_squares_ideal(n, field), cap)
+        Pp = QuotientRing(primed_squares_ideal(n, field), degree_cap=cap)
         for gens in (primed_squares_ideal(n, field), primed_aci_ideal(n, field), annihilator(Pp, f, n)):
-            q = build_quotient(gens, cap)
+            q = QuotientRing(gens, degree_cap=cap)
             assert q.hilbert_series(cap) == _oracle_values(gens, n, field, cap), n
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_gj_span_matches_macaulay_oracle(field):
+    # dim (J + gens)/J in degree d is h_J(d) - h_{J + gens}(d)
+    for n in range(2, 6):
+        P, gens = gorenstein_presentation(n, field)
+        lifts = [g for g in gens if P.nf(g)]
+        span = GradedModuleSpan(P, lifts, name="G/J")
+        top = P.socle_degree() + 1
+        assert [span.hilbert_function(d) for d in range(top + 1)] == [
+            a - b for a, b in zip(_oracle_values(P.generators, n, field, top), _oracle_values(gens, n, field, top))
+        ], n
+
+
+def test_span_of_x1_over_cubes_matches_macaulay_oracle():
+    cubes = [Polynomial.monomial(3, QQ, tuple(3 if a == t else 0 for a in range(3))) for t in range(3)]
+    ambient = QuotientRing(cubes)
+    span = GradedModuleSpan(ambient, [var(3, 0)])
+    top = ambient.socle_degree() + 1
+    assert [span.hilbert_function(d) for d in range(top + 1)] == [
+        a - b for a, b in zip(_oracle_values(cubes, 3, QQ, top), _oracle_values(cubes + [var(3, 0)], 3, QQ, top))
+    ]

@@ -15,7 +15,6 @@ from aciring import (
     BettiTable,
     BoundTooSmall,
     Polynomial,
-    build_quotient,
     ci_resolution_betti,
     duality_check,
     koszul_betti,
@@ -27,7 +26,7 @@ from aciring import (
 from aciring.fields import GF
 from aciring.linalg import sparse_rank
 from aciring.poly import parse_poly
-from aciring.quotient import GradedModuleSpan, ring_of_polynomials
+from aciring.quotient import GradedModuleSpan, QuotientRing
 from aciring.resolution import ci_differential
 
 R2_TABLE = {(0, 0): 1, (1, 2): 3, (2, 3): 2}
@@ -196,7 +195,7 @@ def test_ci_resolution_betti_of_a_module_span_over_a_hypersurface():
 
 
 def test_ci_resolution_betti_refuses_a_square_that_does_not_kill_the_module():
-    cubes = build_quotient([Polynomial.monomial(3, QQ, tuple(3 if a == t else 0 for a in range(3))) for t in range(3)])
+    cubes = QuotientRing([Polynomial.monomial(3, QQ, tuple(3 if a == t else 0 for a in range(3))) for t in range(3)])
     x1 = Polynomial.variable(3, QQ, 0)
     with pytest.raises(ValueError):
         ci_resolution_betti(GradedModuleSpan(cubes, [x1]), U=(2,), max_i=2, max_j=6)
@@ -208,7 +207,7 @@ def test_ci_resolution_betti_refuses_a_square_that_does_not_kill_the_module():
 
 def test_syzygy_over_hypersurface_matches_one_variable_down():
     x3sq = Polynomial.monomial(3, QQ, (0, 0, 2))
-    T = build_quotient([x3sq], name="T")
+    T = QuotientRing([x3sq], name="T")
     got = syzygy_betti(T, ring("R", 3), 2, 4)
     assert got.entries == R2_TABLE
     assert got == table("R", 2)
@@ -226,29 +225,29 @@ def test_syzygy_over_all_squares_strand():
 
 
 def test_syzygy_over_polynomial_ring_agrees_with_koszul():
-    Q4 = ring_of_polynomials(4, QQ)
+    Q4 = QuotientRing((), n=4, field=QQ, name="Q")
     assert syzygy_betti(Q4, ring("A", 4), 4, 6) == table("A", 4)
     # its variable maps have denominators 2 and 3, so its Koszul slices are scaled
     gens = [parse_poly(s, 3, QQ) for s in ("2*x1*x2 + x3^2", "x1^2", "x2^2", "3*x1*x3 - x2*x3 + x3^2")]
-    mixed = build_quotient(gens)
+    mixed = QuotientRing(gens)
     assert koszul_betti(mixed).entries == R3_TABLE
-    assert syzygy_betti(ring_of_polynomials(3, QQ), mixed, 3, 5) == koszul_betti(mixed)
+    assert syzygy_betti(QuotientRing((), n=3, field=QQ, name="Q"), mixed, 3, 5) == koszul_betti(mixed)
     F = GF(101)
     for n in (3, 4):
         for label in ("R", "A"):
             module = named_quotient(label, n, F)
-            got = syzygy_betti(ring_of_polynomials(n, F), module, n, n + module.socle_degree())
+            got = syzygy_betti(QuotientRing((), n=n, field=F, name="Q"), module, n, n + module.socle_degree())
             assert got == koszul_betti(module), (label, n)
 
 
 def test_syzygy_window_too_small_raises():
     x3sq = Polynomial.monomial(3, QQ, (0, 0, 2))
-    T = build_quotient([x3sq], name="T")
+    T = QuotientRing([x3sq], name="T")
     with pytest.raises(BoundTooSmall):
         syzygy_betti(T, ring("R", 3), 2, 2)
     # the first step fits; the second step's window probe finds its cubic generators missing
     with pytest.raises(BoundTooSmall, match="step 2"):
-        syzygy_betti(ring_of_polynomials(4, QQ), ring("R", 4), 4, 3)
+        syzygy_betti(QuotientRing((), n=4, field=QQ, name="Q"), ring("R", 4), 4, 3)
 
 
 def test_syzygy_route_reads_only_generators_hilbert_function_and_name(monkeypatch):
@@ -258,7 +257,7 @@ def test_syzygy_route_reads_only_generators_hilbert_function_and_name(monkeypatc
 
     A4, R4 = named_quotient("A", 4, QQ), named_quotient("R", 4, QQ)
     cases = [
-        (ring_of_polynomials(4, QQ), A4, 4, 6, koszul_betti(A4)),
+        (QuotientRing((), n=4, field=QQ, name="Q"), A4, 4, 6, koszul_betti(A4)),
         (ring("P", 4), R4, 3, 5, ci_resolution_betti(R4, U=range(4), max_i=3, max_j=5)),
     ]
     for base, module, max_i, max_j, expected in cases:
