@@ -139,8 +139,8 @@ def default_characteristic(n: int) -> int:
     path is the practical default; callers can always force characteristic 0.
     Measured on a 2-CPU machine (two runs each, process start and ring
     construction included), the n = 8 Koszul table (``betti --method
-    koszul --no-cache``) takes 2.0-2.3 s for R and 2.7-3.7 s for A over
-    GF(32003), against 4.3-5.3 s and 10.4-12.1 s over QQ.
+    koszul --no-cache``) takes 1.7-2.1 s for R and 2.2-3.0 s for A over
+    GF(32003), against 4.9-5.0 s and 7.2-7.5 s over QQ.
     The prime comfortably exceeds every n in scope, matching the standing
     hypothesis that the characteristic is zero or larger than n.
     """

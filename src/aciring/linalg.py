@@ -2,13 +2,16 @@
 
 Every matrix and vector that crosses this module's boundary is a list of
 rows of field elements: ints in ``range(p)`` over GF(p), ints or
-``Fraction``s over QQ.  numpy stays inside the mod-p kernels, ``gf_rank``
-and ``gf_matmul``, which ``rank``, ``matmul`` and ``sparse_rank`` call.
+``Fraction``s over QQ; ``sparse_rank`` takes {row: {col: value}}.  numpy
+stays inside ``sparse_rank`` and the mod-p kernels ``gf_rank`` and
+``gf_matmul``, which ``rank`` and ``matmul`` call.
 
 Reduced echelon forms and kernels come from one engine, ``Echelon``.
-Ranks of big sparse matrices go through a singleton-pivot pre-pass, then one
-sparse pivoting pass for both fields: over QQ on +-1 pivots with integer
-arithmetic, over GF(p) on any nonzero entry until fill-in makes the rest
+Ranks of big sparse matrices go through ``sparse_rank``: structured
+Gaussian elimination (Faugere-Lachartre, PASCO 2010) in rounds of
+independent pivots ranked by Markowitz cost (Management Sci. 3, 1957), on
+flat numpy arrays.  Over QQ the pivots are the +-1 entries and the
+arithmetic is int64; over GF(p) any nonzero pivots, until the rest is
 dense.  What is left goes to the dense kernel: fraction-free (Bareiss)
 elimination over QQ, and over GF(p) ``gf_rank``, blocked elimination with
 delayed reduction and one matrix-product update per panel.
@@ -16,8 +19,8 @@ delayed reduction and one matrix-product update per panel.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -87,91 +90,180 @@ def kernel_basis(M, field: Field, ncols: int | None = None):
 
 
 # ----------------------------------------------------------------------
-# sparse singleton-pivot pre-pass
+# sparse elimination in rounds of independent pivots
 # ----------------------------------------------------------------------
+
+# Over QQ the rounds stop once an entry passes _QQ_ENTRY_BOUND in absolute
+# value, and no round takes more than _ROUND_PIVOTS pivots: each new entry is
+# then an int64 sum of one old entry and at most 2^22 products of at most
+# 2^40, which cannot overflow.  Over GF(p) the products are reduced mod p
+# before they are summed.
+_QQ_ENTRY_BOUND = 1 << 20
+_ROUND_PIVOTS = 1 << 22
+
+# Over GF(p) the rounds hand the rest to gf_rank once it holds more than this
+# share of its live rows times live columns, unless a pivot without fill-in
+# (a singleton row or column) is left.  Of the shares tried on the n=8
+# Koszul slices, 0.05 to 0.4, none was faster than 0.15.
+_DENSE_SHARE = 0.15
 
 
 def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field) -> int:
-    """Rank of a sparse matrix given as {row: {col: value}}.
+    """Rank of a sparse matrix given as {row: {col: value}}; the dict is left as it is.
 
-    Rows or columns with a single nonzero entry are pivoted away without
-    fill-in, ``_pivot_rank`` eliminates sparsely, and the remaining dense
-    core goes to the field's dense kernel.  Over GF(p) the values are
-    reduced mod p first.  The input dict is consumed.
+    Structured elimination in rounds on flat (row, col, value) arrays.  Each
+    round ranks the admissible entries (any nonzero over GF(p), only +-1 over
+    QQ) by Markowitz cost, (row length - 1) * (column length - 1), ties broken
+    by entry index, and pivots on every entry that is cheapest over each row
+    and column it meets.  Those pivots span a diagonal block A of [A B; C D],
+    so one product step replaces the rest by D - C A^-1 B.  Singletons cost 0
+    and go first.  Over GF(p) the values are reduced mod p first, and the
+    rounds stop once the rest is dense (``_DENSE_SHARE``); over QQ, rows of
+    ``Fraction``s are scaled to integers, and the rounds stop when no +-1 is
+    left or an entry passes ``_QQ_ENTRY_BOUND``.  What is left goes to the
+    field's dense kernel, ``gf_rank`` or ``qq_rank``.
     """
     p = field.characteristic
-    rows = {}
-    for r, cs in row_entries.items():
-        kept = {c: v % p for c, v in cs.items() if v % p} if p else {c: v for c, v in cs.items() if v}
-        if kept:
-            rows[r] = kept
-    cols: dict = {}
-    for r, cs in rows.items():
-        for c in cs:
-            cols.setdefault(c, set()).add(r)
-
-    rk = 0
-    rqueue = [r for r, cs in rows.items() if len(cs) == 1]
-    cqueue = [c for c, rs in cols.items() if len(rs) == 1]
-
-    def remove_entry(r, c):
-        cs = rows[r]
-        del cs[c]
-        if not cs:
-            del rows[r]
-        elif len(cs) == 1:
-            rqueue.append(r)
-        rs = cols[c]
-        rs.discard(r)
-        if not rs:
-            del cols[c]
-        elif len(rs) == 1:
-            cqueue.append(c)
-
-    while rqueue or cqueue:
-        if rqueue:
-            r = rqueue.pop()
-            if r not in rows or len(rows[r]) != 1:
-                continue
-            # row r has its only nonzero in column c: pivot there, then the
-            # rest of column c is cleared by row operations that only touch
-            # column c of the other rows
-            (c,) = rows[r]
-            rk += 1
-            for r2 in list(cols[c]):
-                remove_entry(r2, c)
-        else:
-            c = cqueue.pop()
-            if c not in cols or len(cols[c]) != 1:
-                continue
-            # column c has its only nonzero in row r: column operations from
-            # the pivot clear the rest of row r without fill-in elsewhere
-            (r,) = cols[c]
-            rk += 1
-            for c2 in list(rows[r]):
-                remove_entry(r, c2)
-
-    if not rows:
-        return rk
     if not p:
-        _scale_sparse_rows_to_int(rows)
-    rk += _pivot_rank(rows, cols, p)
-    if not rows:
+        row_entries = dict(row_entries)
+        _scale_sparse_rows_to_int(row_entries)
+    r, c, v = _coo(row_entries, nrows, ncols, p)
+    rk = 0
+    while v.size:
+        piv = _round_pivots(r, c, v, nrows, ncols, p)
+        if piv is None:
+            break
+        rk += piv.size
+        r, c, v = _schur_step(r, c, v, piv, nrows, ncols, p)
+    if not v.size:
         return rk
-    col_pos = {c: k for k, c in enumerate(sorted(cols))}
+    # positions among the live rows and columns
+    r_pos = np.cumsum(np.bincount(r, minlength=nrows) > 0) - 1
+    c_pos = np.cumsum(np.bincount(c, minlength=ncols) > 0) - 1
+    rest = np.zeros((r_pos[-1] + 1, c_pos[-1] + 1), dtype=v.dtype)
+    rest[r_pos[r], c_pos[c]] = v
+    return rk + (gf_rank(rest, p) if p else qq_rank(rest.tolist()))
+
+
+def _coo(row_entries: dict, nrows: int, ncols: int, p: int):
+    """The nonzero entries as flat (row, col, value) arrays in row-major order.
+
+    Over GF(p) the values are reduced mod p.  Over QQ they are int64, or
+    Python ints in an object array if one does not fit.
+    """
+    idx = np.int32 if max(nrows, ncols) < 2**31 else np.int64
+    lengths = np.fromiter(map(len, row_entries.values()), np.int64, len(row_entries))
+    nnz = int(lengths.sum())
+    r = np.repeat(np.fromiter(row_entries, idx, len(row_entries)), lengths)
+    c = np.fromiter(chain.from_iterable(row_entries.values()), idx, nnz)
+
+    def values():
+        return chain.from_iterable(cs.values() for cs in row_entries.values())
+
+    try:
+        v = np.fromiter(values(), np.int64, nnz)
+    except OverflowError:
+        v = np.fromiter((x % p for x in values()), np.int64, nnz) if p else np.array(list(values()), dtype=object)
     if p:
-        A = np.zeros((len(rows), len(col_pos)), dtype=np.int64)
-        for i, cs in enumerate(rows.values()):
-            for c, v in cs.items():
-                A[i, col_pos[c]] = v
-        return rk + gf_rank(A, p)
-    dense = []
-    for cs in rows.values():
-        row = [0] * len(col_pos)
-        for c, v in cs.items():
-            row[col_pos[c]] = v
-        dense.append(row)
-    return rk + qq_rank(dense)
+        v %= p
+    keep = np.flatnonzero(v != 0)
+    r, c, v = r[keep], c[keep], v[keep]
+    order = np.argsort(r.astype(np.int64) * ncols + c, kind="stable")
+    return r[order], c[order], v[order]
+
+
+def _round_pivots(r, c, v, nrows: int, ncols: int, p: int):
+    """The entries one round pivots on, or None where the rounds stop.
+
+    The admissible entries that are cheapest, by (Markowitz cost, index),
+    over every row and column they meet.  No two of them share a row or a
+    column, and no pivot's row meets another pivot's column.
+    """
+    row_len = np.bincount(r, minlength=nrows)
+    col_len = np.bincount(c, minlength=ncols)
+    if p:
+        adm = np.arange(v.size)
+    else:
+        size = abs(v)
+        if size.max() > _QQ_ENTRY_BOUND:
+            return None
+        adm = np.flatnonzero(size == 1)
+        if not adm.size:
+            return None
+    ra, ca = r[adm], c[adm]
+    cost = (row_len[ra] - 1) * (col_len[ca] - 1)
+    if p and cost.min() and v.size > _DENSE_SHARE * np.count_nonzero(row_len) * np.count_nonzero(col_len):
+        return None
+    # unique keys in (cost, index) order; the cap only matters past 2^62 / nnz
+    key = np.minimum(cost, (1 << 62) // adm.size) * adm.size + np.arange(adm.size)
+    top = np.iinfo(np.int64).max
+    row_min = np.full(nrows, top)
+    np.minimum.at(row_min, ra, key)
+    col_min = np.full(ncols, top)
+    np.minimum.at(col_min, ca, key)
+    # push each minimum across the other axis, over every entry: a pivot is
+    # cheapest over all rows meeting its column and all columns meeting its row
+    col_of_rows = np.full(ncols, top)
+    np.minimum.at(col_of_rows, c, row_min[r])
+    row_of_cols = np.full(nrows, top)
+    np.minimum.at(row_of_cols, r, col_min[c])
+    return adm[(key == col_of_rows[ca]) & (key == row_of_cols[ra])][:_ROUND_PIVOTS]
+
+
+def _schur_step(r, c, v, piv, nrows: int, ncols: int, p: int):
+    """The entries of D - C A^-1 B, where A is the diagonal block at the entries ``piv``.
+
+    Input and output are row-major (row, col, value) arrays; A's rows and
+    columns are dropped.
+    """
+    keys, vals = _complement_terms(r, c, v, piv, nrows, ncols, p)
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    vals = np.add.reduceat(vals, first) if vals.size else vals
+    if p:
+        vals %= p
+    nz = np.flatnonzero(vals)
+    keys = keys[first[nz]]
+    return (keys // ncols).astype(r.dtype), (keys % ncols).astype(r.dtype), vals[nz]
+
+
+def _complement_terms(r, c, v, piv, nrows: int, ncols: int, p: int):
+    """The entries of D and of -C A^-1 B as (row * ncols + col, value), unmerged.
+
+    Over GF(p) each product is reduced mod p, so a sum of them stays below
+    (number of pivots + 1) * p.  Apart from the merge so that the gather's
+    temporaries are freed before the sort, which keeps peak memory down.
+    """
+    prow = np.zeros(nrows, dtype=bool)
+    prow[r[piv]] = True
+    # the pivot row of each pivot column, -1 elsewhere
+    row_of_col = np.full(ncols, -1, dtype=r.dtype)
+    row_of_col[c[piv]] = r[piv]
+    # the inverse of each pivot row's pivot: s itself for the units +-1 over QQ
+    inv = np.zeros(nrows, dtype=np.int64)
+    inv[r[piv]] = [pow(int(s), -1, p) for s in v[piv]] if p else v[piv]
+    in_prow = prow[r]
+    in_pcol = row_of_col[c] >= 0
+    # B: the pivot rows outside the pivot columns, still grouped by row
+    b = np.flatnonzero(in_prow & ~in_pcol)
+    b_len = np.bincount(r[b], minlength=nrows)
+    b_start = np.cumsum(b_len) - b_len
+    # C: the pivot columns outside the pivot rows; C[e] A^-1 times row B of its pivot
+    ce = np.flatnonzero(~in_prow & in_pcol)
+    cp = row_of_col[c[ce]]
+    mult = v[ce] * inv[cp]
+    if p:
+        mult %= p
+    reps = b_len[cp]
+    src = np.repeat(np.arange(ce.size), reps)
+    pos = b[np.arange(src.size) - np.repeat(np.cumsum(reps) - reps - b_start[cp], reps)]
+    prod = mult[src] * v[pos]
+    if p:
+        prod %= p
+    d = np.flatnonzero(~in_prow & ~in_pcol)
+    keys = np.concatenate((r[d].astype(np.int64) * ncols + c[d], r[ce][src].astype(np.int64) * ncols + c[pos]))
+    return keys, np.concatenate((v[d], -prod))
 
 
 def _scale_sparse_rows_to_int(rows: dict) -> None:
@@ -186,77 +278,6 @@ def _scale_sparse_rows_to_int(rows: dict) -> None:
         g = gcd(*cs.values())
         if g > 1:
             rows[r] = {c: v // g for c, v in cs.items()}
-
-
-def _pivot_rank(rows: dict, cols: dict, p: int) -> int:
-    """Sparse elimination over GF(p), or over QQ when p == 0; leftovers stay in ``rows``.
-
-    Shortest rows are pivoted first (lazy heap, stale lengths re-pushed) and
-    within a row the admissible entry with the fewest other nonzeros in its
-    column wins, which keeps fill-in low on the incidence-like matrices this
-    sees.  Over QQ only +-1 entries are admissible, so the integer rows stay
-    integer; a row with none re-enters the heap whenever elimination changes
-    it, and rows that never acquire one are left for Bareiss.  Over GF(p)
-    every nonzero is admissible and entries stay in ``range(p)``; the pass
-    stops once the shortest row holds more than 1/16 of the live columns,
-    where fill-in has made the rest dense and the blocked kernel is faster.
-    """
-    heap = [(len(cs), r) for r, cs in rows.items()]
-    heapq.heapify(heap)
-    rk = 0
-    while heap:
-        ln, pr = heapq.heappop(heap)
-        prow = rows.get(pr)
-        if prow is None:
-            continue
-        if len(prow) != ln:
-            heapq.heappush(heap, (len(prow), pr))
-            continue
-        if p and 16 * ln > len(cols):
-            break
-        best = None
-        for c, v in prow.items():
-            if p or v == 1 or v == -1:
-                load = len(cols[c])
-                if best is None or load < best[0]:
-                    best = (load, c, v)
-        if best is None:
-            continue
-        _, pc, s = best
-        # 1/s: s itself for the units +-1 over QQ
-        inv = pow(s, p - 2, p) if p else s
-        del rows[pr]
-        for c in prow:
-            rs = cols[c]
-            rs.discard(pr)
-            if not rs:
-                del cols[c]
-        rk += 1
-        for r2 in list(cols.get(pc, ())):
-            row2 = rows[r2]
-            m = row2[pc] * inv
-            if p:
-                m %= p
-            for c, v in prow.items():
-                old = row2.get(c, 0)
-                nv = old - m * v
-                if p:
-                    nv %= p
-                if nv:
-                    row2[c] = nv
-                    if not old:
-                        cols.setdefault(c, set()).add(r2)
-                elif old:
-                    del row2[c]
-                    rs = cols[c]
-                    rs.discard(r2)
-                    if not rs:
-                        del cols[c]
-            if row2:
-                heapq.heappush(heap, (len(row2), r2))
-            else:
-                del rows[r2]
-    return rk
 
 
 # ----------------------------------------------------------------------

@@ -180,6 +180,52 @@ def test_sparse_rank_explicit_zero_regression():
     assert sparse_rank(rows, 4, 5, QQ) == 3
 
 
+
+def test_sparse_rank_takes_entries_beyond_int64():
+    # over QQ such a matrix goes to Bareiss whole; over GF(p) it is reduced first
+    big = 2**70 + 1
+    rows = {0: {0: big, 1: 1}, 1: {0: 3 * big, 1: 3}, 2: {0: big, 1: 2}}
+    assert sparse_rank({r: dict(cs) for r, cs in rows.items()}, 3, 2, QQ) == 2
+    assert sparse_rank({0: {0: big, 1: 1}, 1: {0: 1, 1: big}}, 2, 2, QQ) == 2
+    # 2^70 + 1 = 3 mod 7, so the rows are proportional mod 7
+    assert sparse_rank({0: {0: big, 1: 1}, 1: {0: 2 * big, 1: 2}}, 2, 2, GF(7)) == 1
+    assert sparse_rank({0: {0: big, 1: 1}, 1: {0: 1, 1: big}}, 2, 2, GF(7)) == 2
+
+
+def test_sparse_rank_sums_many_products_mod_the_largest_prime():
+    # an arrow: k pivot rows {i: a_i, k: b_i} and one row {i: -a_i, k: d}, so
+    # one round pivots on the whole diagonal and entry (k, k) receives k
+    # products of about p^2; unreduced, their sum passes 2^63
+    p, k = MAX_PRIME, 2100
+    rows = {i: {i: i + 2, k: p - 1 - i} for i in range(k)}
+    # the multiplier of each product is -a_i / a_i = -1, so the complement is d + sum(b_i)
+    rest = sum(p - 1 - i for i in range(k)) % p
+    for shift, want in ((0, k), (1, k + 1)):
+        rows[k] = {i: p - (i + 2) for i in range(k)}
+        rows[k][k] = (shift - rest) % p
+        assert sparse_rank(rows, k + 1, k + 1, GF(p)) == want
+
+
+def test_sparse_rank_hands_large_fill_to_bareiss(monkeypatch):
+    # rows x and 2x + (first chain row); two chains of +-1 pivots carry x's
+    # columns 0 and 4 to the pivot-free columns 3 and 7 with factors t^3.
+    # The rest is [[a, b], [2a, 2b]] with |a|, |b| near t^4 > 2^63: the rounds
+    # must stop at the first fill past 2^20 and leave the rest to Bareiss
+    handed_off = []
+    dense_kernel = linalg.qq_rank
+    monkeypatch.setattr(linalg, "qq_rank", lambda M: handed_off.append(M) or dense_kernel(M))
+    for t in range((1 << 19) - 43, (1 << 19) - 3, 2):
+        rows = {0: {0: t, 4: -(t + 2)}, 1: {0: 2 * t + 1, 1: t, 4: -2 * (t + 2)}}
+        for start, col in ((2, 0), (5, 4)):
+            for i in range(3):
+                rows[start + i] = {col + i: 1, col + i + 1: t}
+        dense = [[rows.get(r, {}).get(c, 0) for c in range(8)] for r in range(8)]
+        handed_off.clear()
+        assert sparse_rank(rows, 8, 8, QQ) == fraction_rank(dense) == 7, t
+        # one more round would multiply two of these: past 2^62
+        assert max(abs(x) for row in handed_off[0] for x in row) > 1 << 31
+
+
 def test_int_det_bareiss_matches_oracle():
     rng = random.Random(14)
     for size in (1, 2, 3, 4, 5, 6):

@@ -8,6 +8,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
+import numpy as np
 import pytest
 
 from aciring import (
@@ -23,8 +24,8 @@ from aciring import (
     squared_variable_sum,
     syzygy_betti,
 )
-from aciring.fields import GF
-from aciring.linalg import sparse_rank
+from aciring.fields import GF, MAX_PRIME
+from aciring.linalg import gf_rank, qq_rank, sparse_rank
 from aciring.poly import parse_poly
 from aciring.quotient import GradedModuleSpan, QuotientRing
 from aciring.resolution import ci_differential
@@ -88,6 +89,25 @@ def test_table_shape_invariants():
 # ---------------------------------------------------------------------------
 # syzygy route
 # ---------------------------------------------------------------------------
+
+
+
+@pytest.mark.parametrize("p", [0, 7, 32003, MAX_PRIME], ids=["QQ", "GF7", "GF32003", "GFmax"])
+def test_koszul_slices_sparse_rank_equals_dense_rank(p):
+    # every nonzero slice of R and A for n <= 6: the sparse rounds against the
+    # dense kernel on the whole matrix
+    field = GF(p) if p else QQ
+    for ring in ("R", "A"):
+        for n in range(2, 7):
+            q = named_quotient(ring, n, field)
+            for i in range(1, n + 1):
+                for j in range(i, i + q.socle_degree()):
+                    rows, nrows, ncols = ci_differential(q, (), i, j)
+                    if not (nrows and ncols):
+                        continue
+                    dense = [[rows.get(r, {}).get(c, 0) for c in range(ncols)] for r in range(nrows)]
+                    want = gf_rank(np.array(dense, dtype=np.int64), p) if p else qq_rank(dense)
+                    assert sparse_rank(rows, nrows, ncols, field) == want, (ring, n, i, j)
 
 
 @pytest.mark.parametrize("ring", ["R", "A"])
