@@ -2,8 +2,10 @@
 
 The key hashes the command name, its parameters, and the package's own
 source files, so results from any other version of the code simply never
-match again (``__version__`` does not move when the numerics do).  A
-corrupt or unreadable file behaves like a miss and is overwritten on store.
+match again (``__version__`` does not move when the numerics do).  Each
+entry stores the sha256 of its payload's canonical JSON.  A corrupt or
+unreadable file, or one whose payload no longer matches its digest, behaves
+like a miss and is overwritten on store.
 """
 
 from __future__ import annotations
@@ -41,10 +43,15 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
+def _digest(payload) -> str:
+    """sha256 of the canonical JSON of the payload: sorted keys, no spaces."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def cache_key(command: str, **params) -> str:
     payload = {"command": command, "params": params, "version": __version__, "sources": _source_digest()}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:32]
+    return _digest(payload)[:32]
 
 
 def lookup(key: str):
@@ -57,7 +64,8 @@ def lookup(key: str):
         return None
     if not isinstance(entry, dict) or entry.get("version") != __version__:
         return None
-    return entry.get("payload")
+    payload = entry.get("payload")
+    return payload if entry.get("sha256") == _digest(payload) else None
 
 
 def store(key: str, payload) -> None:
@@ -70,7 +78,7 @@ def store(key: str, payload) -> None:
     fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump({"version": __version__, "payload": payload}, fh)
+            json.dump({"version": __version__, "sha256": _digest(payload), "payload": payload}, fh)
         os.replace(tmp, directory / f"{key}.json")
     except BaseException:
         os.unlink(tmp)

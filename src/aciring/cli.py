@@ -448,7 +448,10 @@ def cmd_verify(args, parser) -> tuple[str, int]:
     if args.char is not None:
         # without --n or --n-range, every n the suite would run over the field
         _resolve_char(args, ns or suite_field_ns(args.suite), parser)
-    report = run_suite(args.suite, ns=ns, characteristic=args.char)
+    try:
+        report = run_suite(args.suite, ns=ns, characteristic=args.char)
+    except ValueError as exc:  # the requested n values select no check
+        parser.error(str(exc))
     code = 0 if report.passed else 1
     if args.format == "json":
         return _json_text(report.to_json()), code

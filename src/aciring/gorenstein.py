@@ -4,8 +4,9 @@ Three independent presentations of the same ideal meet here: the colon
 construction lives in :mod:`.quotient`, while this module builds the
 symmetric-orbit generators, the annihilator of a single dual form, and the
 predicted initial ideal whose squarefree part is indexed by ballot
-sequences.  It also carries the Hessian matrices of the dual form and the
-strong Lefschetz check for the quotient.
+sequences.  It also carries the strong Lefschetz check for the quotient by
+two independent routes: Hessian determinants of the dual form, and ranks of
+the powers of the variable sum on the ``QuotientRing`` of the annihilator.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .poly import (
     squarefree_monomials,
     squared_variable_sum,
     symmetric_orbit,
+    variable_sum,
 )
+from .quotient import QuotientRing
 
 __all__ = [
     "BallotSequence",
@@ -262,46 +265,14 @@ def _lefschetz_by_ranks(n: int, field: Field) -> bool:
     """Maximal-rank test for all powers of the variable sum acting on the
     quotient by the annihilator of the dual form.
 
-    Graded pieces are coordinatized as squarefree monomials modulo the
-    contraction kernel (the square monomials already vanish), so each
-    multiplication step is a small exact matrix.
+    The quotient is the ``QuotientRing`` of :func:`ann_of_form`, whose socle
+    degree is n - 2; the power ℓ^j out of degree d is the product of the
+    maps of ℓ between consecutive degrees, ``multiplication_map(ℓ, d)``.
     """
-    F = inverse_form(n, field)
+    A = QuotientRing(ann_of_form(n, field), name="A")
     top = n - 2
-    if top < 0:
-        return True
-    dims: dict[int, int] = {}
-    reduced: dict[int, tuple] = {}
-    for d in range(top + 1):
-        cols = squarefree_monomials(n, d)
-        ker = Echelon(field, len(cols))
-        for v in _contraction_kernel(n, field, F, cols):
-            ker.insert(v)
-        pivset = set(ker.pivots)
-        free = [j for j in range(len(cols)) if j not in pivset]
-        dims[d] = len(free)
-        reduced[d] = (cols, {m: j for j, m in enumerate(cols)}, ker, free)
-
-    steps = []
-    for d in range(top):
-        cols_d, _, _, free_d = reduced[d]
-        cols_t, idx_t, ker_t, free_t = reduced[d + 1]
-        columns = []
-        for j in free_d:
-            m = cols_d[j]
-            v = [field.zero()] * len(cols_t)
-            for i in range(n):
-                if m[i]:
-                    continue
-                mm = list(m)
-                mm[i] = 1
-                v[idx_t[tuple(mm)]] = field.one()
-            v = ker_t.reduce(v)
-            columns.append([v[c] for c in free_t])
-        steps.append(
-            [[columns[c][r] for c in range(len(columns))] for r in range(len(free_t))]
-        )
-
+    steps = [A.multiplication_map(variable_sum(n, field), d) for d in range(top)]
+    dims = [A.hilbert_function(d) for d in range(top + 1)]
     for d in range(top + 1):
         if dims[d] == 0:
             continue

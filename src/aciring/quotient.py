@@ -14,10 +14,12 @@ the elimination; see ``QuotientRing.is_complete``.
 
 Subspaces of the ring grow by the same rule: the degree-d piece of an ideal
 is x_1..x_n times its degree-(d-1) piece plus its degree-d generators.
-``QuotientRing.times_variable`` applies x_i to coordinate vectors through
-the cached variable maps, and both the annihilator of an element and a
-``GradedModuleSpan`` are built with it.  ``multiplication_map`` only
-multiplies by a given element.
+``variable_map(i, d)`` is multiplication by x_i out of degree d, built once
+per ring as sparse columns: one list per standard monomial m of degree d,
+holding the (position in ``basis(d + 1)``, coefficient) pairs of nf(x_i·m).
+``times_variable`` scatters coordinate vectors through those columns, and
+the annihilator of an element and a ``GradedModuleSpan`` are built with it.
+``multiplication_map`` only multiplies by a given element.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 from .errors import DegreeCapExceeded
 from .fields import Field
 from .groebner import MonomialIdeal, normal_form
-from .linalg import Echelon, kernel_basis, matmul, rank
+from .linalg import Echelon, kernel_basis, rank, sparse_rank
 from .linalg import gf_matmul  # noqa: F401  bench/tests/test_bench.py dereferences quotient.gf_matmul
 from .poly import Mono, Polynomial, mono_deg, mono_mul
 
@@ -71,7 +73,7 @@ class QuotientRing:
         self._base_nf_cache: dict[Mono, list] = {}
         self._forms: dict[int, Echelon] = {}
         self._basis_cache: dict[int, tuple[Mono, ...]] = {}
-        self._varmap_cache: dict[tuple[int, int], object] = {}
+        self._varmap_cache: dict[tuple[int, int], list] = {}
 
     # -- the echelon forms -------------------------------------------------
 
@@ -239,30 +241,50 @@ class QuotientRing:
                 M[r][j] = c
         return M
 
-    def variable_map(self, i: int, d: int):
+    def variable_map(self, i: int, d: int) -> list:
+        """Multiplication by x_i from degree d to degree d + 1, as sparse columns.
+
+        One list per monomial m of ``basis(d)``, in order, holding the
+        (position in ``basis(d + 1)``, coefficient) pairs of nf(x_i·m) with
+        nonzero coefficients.  Built once per ring, variable and degree.
+        """
         key = (i, d)
         if key not in self._varmap_cache:
-            xi = Polynomial.variable(self.n, self.field, i)
-            self._varmap_cache[key] = self.multiplication_map(xi, d)
+            one = self.field.one()
+            self._varmap_cache[key] = [
+                [(r, c) for r, c in enumerate(self._reduce(d + 1, [(m[:i] + (m[i] + 1,) + m[i + 1:], one)])) if c]
+                for m in self.basis(d)
+            ]
         return self._varmap_cache[key]
 
     def times_variable(self, i: int, d: int, vectors) -> list:
         """x_i times each degree-d coordinate vector, as degree-(d+1) coordinate vectors."""
         if not vectors:
             return []
-        M = self.variable_map(i, d)
-        if not M:
-            return [[] for _ in vectors]
-        return matmul([list(v) for v in vectors], [list(col) for col in zip(*M)], self.field)
+        columns = self.variable_map(i, d)
+        zero, size, p = self.field.zero(), self.hilbert_function(d + 1), self.field.characteristic
+        out = []
+        for vec in vectors:
+            image = [zero] * size
+            for column, v in zip(columns, vec):
+                if v:
+                    for r, w in column:
+                        image[r] += v * w
+            out.append([x % p for x in image] if p else image)
+        return out
 
     # -- socle -------------------------------------------------------------
 
     def socle_dimensions(self) -> list[int]:
         """dim of {v in degree d : x_i v = 0 for all i}, for d from 0 to the socle degree."""
-        return [
-            self.hilbert_function(d) - rank([row for i in range(self.n) for row in self.variable_map(i, d)], self.field)
-            for d in range(self.socle_degree() + 1)
-        ]
+        dims = []
+        for d in range(self.socle_degree() + 1):
+            h, up = self.hilbert_function(d), self.hilbert_function(d + 1)
+            maps = [self.variable_map(i, d) for i in range(self.n)]
+            # row m: column m of the maps x_1..x_n stacked
+            rows = {m: {i * up + r: c for i, columns in enumerate(maps) for r, c in columns[m]} for m in range(h)}
+            dims.append(h - sparse_rank(rows, h, self.n * up, self.field))
+        return dims
 
     # -- annihilators --------------------------------------------------------
 
@@ -339,7 +361,7 @@ class GradedModuleSpan:
         self.name = name
         self.generators = tuple(generators)
         self._span_cache: dict[int, Echelon] = {}
-        self._varmap_cache: dict[tuple[int, int], object] = {}
+        self._varmap_cache: dict[tuple[int, int], list] = {}
 
     def _span(self, d: int) -> Echelon:
         if d not in self._span_cache:
@@ -370,12 +392,12 @@ class GradedModuleSpan:
         """The reduced echelon basis of the degree-d piece, in ambient coordinates."""
         return list(self._span(d).rows)
 
-    def variable_map(self, i: int, d: int):
-        """Multiplication by x_i from the degree-d piece to degree d + 1.
+    def variable_map(self, i: int, d: int) -> list:
+        """Multiplication by x_i from the degree-d piece to degree d + 1, as sparse columns.
 
-        Rows are coordinates in the target echelon basis: because that basis
-        is fully reduced, the coordinate of a member vector along basis row r
-        is simply its entry at the row's pivot column.
+        One list per echelon row of degree d, of (target row, coefficient) pairs
+        in the degree-(d+1) echelon basis.  That basis is fully reduced, so the
+        coordinate of a member vector along row r is its entry at r's pivot.
         """
         key = (i, d)
         if key not in self._varmap_cache:
@@ -383,7 +405,7 @@ class GradedModuleSpan:
             tgt = self._span(d + 1)
             if not all(tgt.contains(v) for v in images):
                 raise AssertionError("submodule span is not closed under multiplication")
-            self._varmap_cache[key] = [[v[piv] for v in images] for piv in tgt.pivots]
+            self._varmap_cache[key] = [[(r, v[piv]) for r, piv in enumerate(tgt.pivots) if v[piv]] for v in images]
         return self._varmap_cache[key]
 
 

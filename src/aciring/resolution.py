@@ -180,18 +180,23 @@ _map_rows_cache: WeakKeyDictionary = WeakKeyDictionary()
 def _variable_map_rows(module, d: int) -> list[tuple[list, list]]:
     """Every x_t map out of degree d as sparse integer rows: (column, value) lists.
 
-    Over QQ all the degree-d maps are scaled by L_d, the least common
-    denominator of their entries; over GF(p) values stay in ``range(p)`` and
-    the negated rows hold p - v.  Built once per module and degree.
+    The rows are the module's ``variable_map`` columns transposed.  Over QQ
+    all the degree-d maps are scaled by L_d, the least common denominator of
+    their entries; over GF(p) values stay in ``range(p)`` and the negated
+    rows hold p - v.  Built once per module and degree.
     """
     per_module = _map_rows_cache.setdefault(module, {})
     if d not in per_module:
         p = module.field.characteristic
         maps = [module.variable_map(t, d) for t in range(module.n)]
-        scale = 1 if p else lcm(*(v.denominator for M in maps for row in M for v in row if v))
+        scale = 1 if p else lcm(*(v.denominator for columns in maps for column in columns for _, v in column))
+        h_tgt = module.hilbert_function(d + 1)
         out = []
-        for M in maps:
-            pos = [[(c, int(v * scale)) for c, v in enumerate(row) if v] for row in M]
+        for columns in maps:
+            pos: list[list] = [[] for _ in range(h_tgt)]
+            for c, column in enumerate(columns):
+                for r, v in column:
+                    pos[r].append((c, int(v * scale)))
             out.append((pos, [[(c, p - v if p else -v) for c, v in row] for row in pos]))
         per_module[d] = out
     return per_module[d]
@@ -341,10 +346,8 @@ def syzygy_betti(base: QuotientRing, module: QuotientRing, max_i: int, max_j: in
     field = base.field
     n = base.n
     zero = field.zero()
-    p = field.characteristic
     entries = {(0, 0): 1}
     free_hist: list[list[int]] = [[0]]  # generator degrees of F_0, F_1, ...
-    columns: dict[tuple[int, int], list] = {}  # (t, e) -> x_t out of base degree e, sparse per column
     hf = base.hilbert_function  # 0 in negative degrees
 
     def free_dim(degs, d):
@@ -358,25 +361,15 @@ def syzygy_betti(base: QuotientRing, module: QuotientRing, max_i: int, max_j: in
         return s
 
     def times(t, degs, d, vec):
-        """x_t times a degree-d element of ⊕_a base(-a), through its nonzero entries."""
+        """x_t times a degree-d element of ⊕_a base(-a), one block at a time."""
         out = []
         at = 0
         for a in degs:
-            block = [zero] * hf(d + 1 - a)
             width = hf(d - a)
-            if block and width:
-                if (t, d - a) not in columns:
-                    columns[t, d - a] = [
-                        [(r, v) for r, v in enumerate(col) if v] for col in zip(*base.variable_map(t, d - a))
-                    ]
-                for c, col in enumerate(columns[t, d - a]):
-                    v = vec[at + c]
-                    if v:
-                        for r, w in col:
-                            block[r] += v * w
-                if p:
-                    block = [x % p for x in block]
-            out.extend(block)
+            if width:
+                out.extend(base.times_variable(t, d - a, [vec[at:at + width]])[0])
+            else:
+                out.extend([zero] * hf(d + 1 - a))
             at += width
         return out
 

@@ -365,20 +365,19 @@ def run_suite(suite: str, ns: list[int] | None = None, characteristic: int | Non
 
     A characteristic p > 0 must exceed every requested n, or without a range
     every n at which the suite computes over a field; otherwise ValueError.
+    So are requested n values at which the suite has no check.
     """
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}")
     top = max(ns if ns is not None else suite_field_ns(suite), default=0)
     if characteristic and characteristic <= top:
         raise ValueError(f"characteristic {characteristic} must be 0 or larger than n = {top}")
-    if suite == "all":
-        records = []
-        for name in SUITE_NAMES:
-            records.extend(run_suite(name, ns, characteristic).records)
-        return VerificationReport("all", records)
+    groups = [group for name in (SUITE_NAMES if suite == "all" else (suite,)) for group in _SUITES[name]]
+    if not any(_wanted(ns, default) for default, _, _ in groups):
+        raise ValueError(f"suite {suite!r} has no check at n = {', '.join(map(str, ns))}")
 
     records: list[CheckRecord] = []
-    for default, over_field, checks in _SUITES[suite]:
+    for default, over_field, checks in groups:
         for n in _wanted(ns, default):
             args = (n, _field(n, characteristic)) if over_field else (n,)
             for check_id, fn in checks:

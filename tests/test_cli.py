@@ -269,15 +269,21 @@ def cache_files():
     return sorted(d.glob("*.json")) if d.is_dir() else []
 
 
+def poison(path, values):
+    """Replace the stored values and re-sign the entry, so it still reads as valid."""
+    entry = json.loads(path.read_text())
+    entry["payload"]["results"][0]["values"] = values
+    entry["sha256"] = cache._digest(entry["payload"])
+    path.write_text(json.dumps(entry))
+
+
 def test_cache_hit_is_served_from_disk(capsys):
     run_cli(capsys, "hilbert", "--ring", "R", "--n", "5")
     files = cache_files()
     assert len(files) == 1
     # tamper with the stored payload: a second run must reflect the tampering,
     # which proves the answer came from the cache and not a recomputation
-    entry = json.loads(files[0].read_text())
-    entry["payload"]["results"][0]["values"] = [9, 9, 9]
-    files[0].write_text(json.dumps(entry))
+    poison(files[0], [9, 9, 9])
     code, out, _ = run_cli(capsys, "hilbert", "--ring", "R", "--n", "5")
     assert (code, out) == (0, "9 9 9\n")
     # --no-cache bypasses the poisoned entry
@@ -289,9 +295,7 @@ def test_cache_key_depends_on_characteristic(capsys):
     run_cli(capsys, "hilbert", "--ring", "R", "--n", "5", "--method", "quotient")
     files = cache_files()
     assert len(files) == 1
-    entry = json.loads(files[0].read_text())
-    entry["payload"]["results"][0]["values"] = [9, 9, 9]
-    files[0].write_text(json.dumps(entry))
+    poison(files[0], [9, 9, 9])
     # a different characteristic is a different key: fresh computation
     code, out, _ = run_cli(
         capsys, "hilbert", "--ring", "R", "--n", "5", "--method", "quotient", "--char", "11"
@@ -308,6 +312,19 @@ def test_cache_recovers_from_corruption(capsys):
     assert (code, out) == (0, "1 5 9 5\n")
     # the corrupt entry was overwritten with a valid one
     assert json.loads(files[0].read_text())["payload"]["command"] == "hilbert"
+    # valid JSON whose payload does not match its digest: a payload of the
+    # wrong shape, and a changed number in an otherwise valid entry
+    argv = ("hilbert", "--ring", "R", "--n", "4", "--method", "quotient")
+    run_cli(capsys, *argv)
+    (path,) = set(cache_files()) - set(files)
+    path.write_text(json.dumps({"version": aciring.__version__, "payload": {"results": 3}}))
+    assert run_cli(capsys, *argv)[:2] == (0, "1 4 5\n")
+    entry = json.loads(path.read_text())
+    entry["payload"]["results"][0]["values"] = [9, 9, 9]
+    path.write_text(json.dumps(entry))
+    assert run_cli(capsys, *argv)[:2] == (0, "1 4 5\n")
+    # each was treated as a miss and overwritten
+    assert json.loads(path.read_text())["payload"]["results"][0]["values"] == [1, 4, 5]
 
 
 def test_cached_json_is_byte_identical(capsys):
@@ -384,6 +401,7 @@ def test_usage_errors_exit_two(capsys):
         # above fields.MAX_PRIME the int64/float64 mod-p kernels are inexact
         ["betti", "--ring", "A", "--n", "6", "--char", "2147483647", "--cross-check", "--no-cache"],
         ["sequence", "rho", "--n-range", "3..3"],  # no even n
+        ["verify", "--suite", "ezd", "--n", "4"],  # the suite has no check at n = 4
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -28,7 +28,8 @@ from aciring import (
     slp_check_A,
     squared_variable_sum,
 )
-from aciring.gorenstein import g_identity_check
+from aciring.fields import GF
+from aciring.gorenstein import _lefschetz_by_ranks, g_identity_check
 
 
 def catalan(k: int) -> int:
@@ -222,3 +223,22 @@ def test_slp_holds_over_the_rationals():
 def test_slp_positive_characteristic_warns_and_uses_ranks():
     with pytest.warns(UserWarning):
         assert slp_check_A(3, 7)
+
+
+# verdicts of the rank route for n = 2..8 over QQ, GF(3), GF(5), GF(7) and
+# GF(32003): a prime at or below n - 2 can break the strong Lefschetz property
+LEFSCHETZ_BY_RANKS = {
+    2: (1, 1, 1, 1, 1),
+    3: (1, 0, 1, 1, 1),
+    4: (1, 0, 1, 1, 1),
+    5: (1, 0, 0, 1, 1),
+    6: (1, 0, 0, 1, 1),
+    7: (1, 0, 0, 0, 1),
+    8: (1, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LEFSCHETZ_BY_RANKS))
+def test_lefschetz_by_ranks_frozen_verdicts(n):
+    fields = (QQ, GF(3), GF(5), GF(7), GF(32003))
+    assert tuple(int(_lefschetz_by_ranks(n, f)) for f in fields) == LEFSCHETZ_BY_RANKS[n]

@@ -109,6 +109,33 @@ def test_mult_map_columns_are_normal_forms():
         image = R3.nf(f.mul(Polynomial.monomial(3, QQ, m)))
         col = [row[j] for row in M]
         assert R3.from_vector(2, col) == image
+    # the sparse columns of variable_map(i, d) are the normal forms of x_i·m,
+    # and times_variable agrees with multiplication_map(x_i, d)
+    for field in (QQ, GF(101)):
+        for label in "PRA":
+            for n in range(2, 6):
+                q = named_quotient(label, n, field)
+                for d in range(q.socle_degree() + 1):
+                    h = q.hilbert_function(d)
+                    identity = [[field.one() if r == c else field.zero() for c in range(h)] for r in range(h)]
+                    for i in range(n):
+                        xi = Polynomial.variable(n, field, i)
+                        for column, m in zip(q.variable_map(i, d), q.basis(d)):
+                            image = q.to_vector(q.nf(xi.mul(Polynomial.monomial(n, field, m))), d + 1)
+                            assert column == [(r, c) for r, c in enumerate(image) if c], (label, n, d, i, m)
+                        M = q.multiplication_map(xi, d)
+                        assert q.times_variable(i, d, identity) == [[row[c] for row in M] for c in range(h)]
+    # G/J inside P: the columns are coordinates in the echelon basis one degree up
+    P, gens = gorenstein_presentation(4, QQ)
+    module = GradedModuleSpan(P, [g for g in gens if P.nf(g)], name="G/J")
+    for d in range(module.socle_degree()):
+        above = module.basis_vectors(d + 1)
+        for i in range(4):
+            images = P.times_variable(i, d, module.basis_vectors(d))
+            columns = module.variable_map(i, d)
+            assert len(columns) == len(images) == module.hilbert_function(d)
+            for column, image in zip(columns, images):
+                assert [sum(c * above[r][k] for r, c in column) for k in range(len(image))] == image
 
 
 # ---------------------------------------------------------------------------

@@ -158,11 +158,9 @@ def koszul_slice(module, U, i: int, j: int) -> dict:
             terms.append((t, (tuple(sorted(S + (t,))), tuple(rest)), (-1) ** (len(S) + sum(u > t for u in S))))
         for t, g, sign in terms:
             b = tgt.index(g)
-            M = module.variable_map(t, d)
-            for r in range(h_tgt):
-                for c in range(h_src):
-                    if M[r][c]:
-                        out[(b * h_tgt + r, a * h_src + c)] = sign * M[r][c]
+            for c, column in enumerate(module.variable_map(t, d)):
+                for r, v in column:
+                    out[(b * h_tgt + r, a * h_src + c)] = sign * v
     return out
 
 

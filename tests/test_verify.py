@@ -22,3 +22,9 @@ def test_run_suite_refuses_a_characteristic_not_above_n(suite, ns, characteristi
 def test_run_suite_accepts_a_characteristic_above_n():
     report = run_suite("hilbert", [3, 4], 5)
     assert report.passed and {r.n for r in report.records} == {3, 4}
+
+
+@pytest.mark.parametrize("suite, ns", [("ezd", [4]), ("duality", [8]), ("lifting", [9]), ("all", [13, 14])])
+def test_run_suite_refuses_n_values_that_select_no_check(suite, ns):
+    with pytest.raises(ValueError, match="no check"):
+        run_suite(suite, ns)
