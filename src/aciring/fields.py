@@ -41,10 +41,6 @@ class Field:
         self.characteristic = characteristic
 
     # -- basic queries ------------------------------------------------
-    @property
-    def is_prime_field(self) -> bool:
-        return self.characteristic != 0
-
     def zero(self):
         return 0 if self.characteristic else Fraction(0)
 

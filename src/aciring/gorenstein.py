@@ -16,7 +16,7 @@ import warnings
 from .fields import GF, QQ, Field
 from .formulas import ell
 from .groebner import MonomialIdeal, normal_form, squares_ideal
-from .linalg import Echelon, int_det_bareiss, kernel_basis, matmul, rank
+from .linalg import Echelon, compose, int_det_bareiss, kernel_basis, rank
 from .poly import (
     DividedPowerForm,
     Mono,
@@ -143,19 +143,11 @@ def inverse_form(n: int, field: Field = QQ) -> DividedPowerForm:
 def _contraction_kernel(n: int, field: Field, form: DividedPowerForm, cols: list[Mono]):
     """Kernel vectors of m -> m ∘ form on the span of the given monomials."""
     rowindex: dict[Mono, int] = {}
-    colentries = []
+    columns = []
     for m in cols:
         fm = contract(Polynomial.monomial(n, field, m), form)
-        ent = []
-        for mm, c in fm.terms:
-            r = rowindex.setdefault(mm, len(rowindex))
-            ent.append((r, c))
-        colentries.append(ent)
-    M = [[field.zero()] * len(cols) for _ in range(len(rowindex))]
-    for j, ent in enumerate(colentries):
-        for i, c in ent:
-            M[i][j] = c
-    return kernel_basis(M, field, ncols=len(cols))
+        columns.append([(rowindex.setdefault(mm, len(rowindex)), c) for mm, c in fm.terms])
+    return kernel_basis(columns, field)
 
 
 def ann_of_form(n: int, field: Field = QQ) -> list[Polynomial]:
@@ -266,8 +258,8 @@ def _lefschetz_by_ranks(n: int, field: Field) -> bool:
     quotient by the annihilator of the dual form.
 
     The quotient is the ``QuotientRing`` of :func:`ann_of_form`, whose socle
-    degree is n - 2; the power ℓ^j out of degree d is the product of the
-    maps of ℓ between consecutive degrees, ``multiplication_map(ℓ, d)``.
+    degree is n - 2; the power ℓ^j out of degree d is the composite of the
+    column maps of ℓ between consecutive degrees, ``multiplication_map(ℓ, d)``.
     """
     A = QuotientRing(ann_of_form(n, field), name="A")
     top = n - 2
@@ -281,7 +273,7 @@ def _lefschetz_by_ranks(n: int, field: Field) -> bool:
             if dims[d + j] == 0:
                 break
             step = steps[d + j - 1]
-            M = step if M is None else matmul(step, M, field)
+            M = step if M is None else compose([(step, M)], field)
             if rank(M, field) != min(dims[d], dims[d + j]):
                 return False
     return True

@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals and over GF(p).
 
-Every matrix and vector that crosses this module's boundary is a list of
-rows of field elements: ints in ``range(p)`` over GF(p), ints or
-``Fraction``s over QQ; ``sparse_rank`` takes {row: {col: value}}.  numpy
-stays inside ``sparse_rank`` and the mod-p kernels ``gf_rank`` and
-``gf_matmul``, which ``rank`` and ``matmul`` call.
+A linear map is a list of sparse columns: one list per source basis vector,
+holding the (target position, value) pairs of its image with nonzero
+values.  ``compose``, ``rank`` and ``kernel_basis`` take maps in that one
+format.  Vectors are dense lists of field elements: ints in ``range(p)``
+over GF(p), ints or ``Fraction``s over QQ.  ``sparse_rank`` takes
+{row: {col: value}}; numpy stays inside it and the mod-p kernels
+``gf_rank`` and ``gf_matmul`` that it reaches.
 
 Reduced echelon forms and kernels come from one engine, ``Echelon``.
-Ranks of big sparse matrices go through ``sparse_rank``: structured
+Ranks go through ``sparse_rank``: structured
 Gaussian elimination (Faugere-Lachartre, PASCO 2010) in rounds of
 independent pivots ranked by Markowitz cost (Management Sci. 3, 1957), on
 flat numpy arrays.  Over QQ the pivots are the +-1 entries and the
@@ -32,49 +34,48 @@ from .fields import MAX_PRIME, Field
 # ----------------------------------------------------------------------
 
 
-def matmul(A, B, field: Field):
-    """A @ B for matrices given as lists of rows."""
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    if field.is_prime_field:
-        Ap = np.array(A, dtype=np.int64).reshape(n, k)
-        Bp = np.array(B, dtype=np.int64).reshape(k, m)
-        return gf_matmul(Ap, Bp, field.characteristic).tolist()
-    out = [[field.zero()] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a == 0:
-                continue
-            Bt = B[t]
-            for j in range(m):
-                b = Bt[j]
-                if b != 0:
-                    Oi[j] += a * b
-    return out
+def compose(products, field: Field) -> list:
+    """The column map sum_k outer_k · inner_k, from (outer_k, inner_k) pairs.
 
-
-def rank(M, field: Field) -> int:
-    if field.is_prime_field:
-        return gf_rank(np.array(M, dtype=np.int64), field.characteristic)
-    return qq_rank([list(r) for r in M])
-
-
-def kernel_basis(M, field: Field, ncols: int | None = None):
-    """Basis of {v : M v = 0}, as rows; canonical (from the rref free columns).
-
-    One vector per free column of the reduced echelon form: 1 there, 0 at
-    the other free columns, and minus that column of each pivot row at the
-    row's pivot.
+    Every inner_k has one column per source vector, the same source for all
+    k, and its positions index the columns of outer_k.  Each result column
+    holds its nonzero (target position, value) pairs in ascending order.
     """
-    if ncols is None:
-        if not M:
-            raise ValueError("empty matrix needs ncols")
-        ncols = len(M[0])
+    p = field.characteristic
+    out: list[dict] = []
+    for outer, inner in products:
+        out = out or [{} for _ in inner]
+        for acc, column in zip(out, inner):
+            for k, v in column:
+                for r, w in outer[k]:
+                    acc[r] = acc.get(r, 0) + v * w
+    if p:
+        return [[(r, x % p) for r, x in sorted(acc.items()) if x % p] for acc in out]
+    return [[(r, x) for r, x in sorted(acc.items()) if x] for acc in out]
+
+
+def rank(columns, field: Field) -> int:
+    """Rank of a column map, through ``sparse_rank``."""
+    rows = {j: dict(column) for j, column in enumerate(columns) if column}
+    ncols = 1 + max((r for column in rows.values() for r in column), default=-1)
+    return sparse_rank(rows, len(columns), ncols, field)
+
+
+def kernel_basis(columns, field: Field):
+    """Basis of {v : M v = 0} for the column map M, as dense vectors.
+
+    Canonical: one vector per free column of the reduced echelon form of
+    M's rows, 1 there, 0 at the other free columns, and minus that column
+    of each pivot row at the row's pivot.
+    """
+    ncols = len(columns)
+    rows: dict[int, list] = {}
+    for j, column in enumerate(columns):
+        for r, v in column:
+            rows.setdefault(r, [field.zero()] * ncols)[j] = v
     ech = Echelon(field, ncols)
-    for row in M:
-        ech.insert(row)
+    for r in sorted(rows):
+        ech.insert(rows[r])
     p = field.characteristic
     pivots = set(ech.pivots)
     basis = []

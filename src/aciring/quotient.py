@@ -17,9 +17,11 @@ is x_1..x_n times its degree-(d-1) piece plus its degree-d generators.
 ``variable_map(i, d)`` is multiplication by x_i out of degree d, built once
 per ring as sparse columns: one list per standard monomial m of degree d,
 holding the (position in ``basis(d + 1)``, coefficient) pairs of nf(x_i·m).
+That is the package's one format for linear maps (see :mod:`.linalg`).
 ``times_variable`` scatters coordinate vectors through those columns, and
 the annihilator of an element and a ``GradedModuleSpan`` are built with it.
-``multiplication_map`` only multiplies by a given element.
+``multiplication_map(f, d)`` gives multiplication by any homogeneous f in
+the same format, composed from the variable maps by Horner's rule.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from functools import cached_property
 from itertools import chain, combinations
 from typing import Sequence
 
-from .errors import DegreeCapExceeded
-from .fields import Field
+from .errors import DegreeCapExceeded, DimensionMismatch
+from .fields import Field, check_same_field
 from .groebner import MonomialIdeal, normal_form
-from .linalg import Echelon, kernel_basis, rank, sparse_rank
+from .linalg import Echelon, compose, kernel_basis, rank
 from .linalg import gf_matmul  # noqa: F401  bench/tests/test_bench.py dereferences quotient.gf_matmul
-from .poly import Mono, Polynomial, mono_deg, mono_mul
+from .poly import Mono, Polynomial, mono_deg
 
 
 class QuotientRing:
@@ -49,9 +51,9 @@ class QuotientRing:
         name: str = "",
     ):
         gens = [g for g in generators if g]
-        if gens:
-            n, field = gens[0].n, gens[0].field
-        elif n is None or field is None:
+        n = gens[0].n if n is None and gens else n
+        field = gens[0].field if field is None and gens else field
+        if n is None or field is None:
             raise ValueError("zero ideal needs explicit n and field")
         if any(mono_deg(m) != g.degree for g in gens for m, _ in g.terms):
             raise ValueError("a quotient ring needs homogeneous generators")
@@ -59,6 +61,8 @@ class QuotientRing:
         self.field = field
         self.name = name
         self.generators = tuple(generators)
+        for g in self.generators:
+            self._check(g)
         self.degree_cap = degree_cap
         self.base: list[Polynomial] = []
         self._relations: list[Polynomial] = []
@@ -74,6 +78,12 @@ class QuotientRing:
         self._forms: dict[int, Echelon] = {}
         self._basis_cache: dict[int, tuple[Mono, ...]] = {}
         self._varmap_cache: dict[tuple[int, int], list] = {}
+
+    def _check(self, f: Polynomial) -> None:
+        """Refuse a polynomial in another number of variables or over another field."""
+        if f.n != self.n:
+            raise DimensionMismatch(f"a polynomial in {f.n} variables, in a ring in {self.n}")
+        check_same_field(f.field, self.field)
 
     # -- the echelon forms -------------------------------------------------
 
@@ -204,6 +214,7 @@ class QuotientRing:
 
     def nf(self, f: Polynomial) -> Polynomial:
         """Normal form of f, one homogeneous component at a time."""
+        self._check(f)
         by_degree: dict[int, list] = {}
         for m, c in f.terms:
             by_degree.setdefault(mono_deg(m), []).append((m, c))
@@ -214,6 +225,7 @@ class QuotientRing:
 
     def to_vector(self, f: Polynomial, d: int):
         """Coordinates of nf(f) in the degree-d standard monomial basis."""
+        self._check(f)
         if any(mono_deg(m) != d for m, _ in f.terms):
             raise ValueError("element is not homogeneous of the requested degree")
         return self._reduce(d, f.terms)
@@ -224,22 +236,34 @@ class QuotientRing:
 
     # -- multiplication as linear algebra ---------------------------------
 
-    def multiplication_map(self, f: Polynomial, d: int):
-        """Matrix of multiplication by f from degree d to degree d + deg f.
+    def multiplication_map(self, f: Polynomial, d: int) -> list:
+        """Multiplication by f from degree d to degree d + deg f, as sparse columns.
 
-        Rows are indexed by the target basis, columns by the source basis.
+        One list per monomial m of ``basis(d)``, in order, holding the
+        (position in ``basis(d + deg f)``, coefficient) pairs of nf(f·m) with
+        nonzero coefficients.  Built by Horner's rule from the variable maps:
+        f = sum_i x_i·f_i, with x_i the last variable of each term, so
+        M_f(d) = sum_i V_i(d + deg f - 1)·M_{f_i}(d), down to constants.
         """
+        self._check(f)
         e = f.degree
         if e < 0:
             raise ValueError("multiplication by zero has no well-defined degree")
         if any(mono_deg(m) != e for m, _ in f.terms):
             raise ValueError("multiplication by an inhomogeneous element")
-        src = self.basis(d)
-        M = [[self.field.zero()] * len(src) for _ in range(self.hilbert_function(d + e))]
-        for j, m in enumerate(src):
-            for r, c in enumerate(self._reduce(d + e, [(mono_mul(t, m), c) for t, c in f.terms])):
-                M[r][j] = c
-        return M
+        return self._product_map(f.terms, e, d)
+
+    def _product_map(self, terms, e: int, d: int) -> list:
+        """The columns of multiplication by a sum of degree-e terms, out of degree d."""
+        if e == 0:
+            ((_, c),) = terms
+            return [[(j, c)] for j in range(self.hilbert_function(d))]
+        parts: dict[int, list] = {}  # x_i -> the terms of f_i
+        for m, c in terms:
+            i = max(k for k, x in enumerate(m) if x)
+            parts.setdefault(i, []).append((m[:i] + (m[i] - 1,) + m[i + 1:], c))
+        products = ((self.variable_map(i, d + e - 1), self._product_map(part, e - 1, d)) for i, part in parts.items())
+        return compose(products, self.field)
 
     def variable_map(self, i: int, d: int) -> list:
         """Multiplication by x_i from degree d to degree d + 1, as sparse columns.
@@ -281,9 +305,9 @@ class QuotientRing:
         for d in range(self.socle_degree() + 1):
             h, up = self.hilbert_function(d), self.hilbert_function(d + 1)
             maps = [self.variable_map(i, d) for i in range(self.n)]
-            # row m: column m of the maps x_1..x_n stacked
-            rows = {m: {i * up + r: c for i, columns in enumerate(maps) for r, c in columns[m]} for m in range(h)}
-            dims.append(h - sparse_rank(rows, h, self.n * up, self.field))
+            # column m: column m of the maps x_1..x_n stacked
+            stacked = [[(i * up + r, c) for i, columns in enumerate(maps) for r, c in columns[m]] for m in range(h)]
+            dims.append(h - rank(stacked, self.field))
         return dims
 
     # -- annihilators --------------------------------------------------------
@@ -307,7 +331,7 @@ class QuotientRing:
             hd = self.hilbert_function(d)
             if hd == 0:
                 break
-            below, ker = ker, kernel_basis(self.multiplication_map(f, d), self.field, ncols=hd)
+            below, ker = ker, kernel_basis(self.multiplication_map(f, d), self.field)
             span = Echelon(self.field, hd)
             for v in chain.from_iterable(self.times_variable(k, d - 1, below) for k in range(self.n)):
                 if span.rank == len(ker):
@@ -438,12 +462,8 @@ def max_rank_check(q: QuotientRing, f: Polynomial, through: int | None = None) -
             raise ValueError("a non-Artinian ring needs an explicit degree bound")
         through = q.socle_degree()
     for d in range(through + 1):
-        src = q.hilbert_function(d)
-        tgt = q.hilbert_function(d + e)
-        if src == 0:
-            continue
-        M = q.multiplication_map(f, d)
-        if rank(M, q.field) != min(src, tgt):
+        src, tgt = q.hilbert_function(d), q.hilbert_function(d + e)
+        if src and rank(q.multiplication_map(f, d), q.field) != min(src, tgt):
             return False
     return True
 
@@ -466,8 +486,6 @@ def regular_element_check(q: QuotientRing, v: Polynomial, degree_bound: int) -> 
         raise ValueError("expected a homogeneous element of positive degree")
     for d in range(degree_bound - e + 1):
         hd = q.hilbert_function(d)
-        if hd == 0:
-            continue
-        if rank(q.multiplication_map(v, d), q.field) != hd:
+        if hd and rank(q.multiplication_map(v, d), q.field) != hd:
             return False
     return True

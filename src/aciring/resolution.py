@@ -25,7 +25,7 @@ from weakref import WeakKeyDictionary
 from .errors import BoundTooSmall
 from .fields import QQ
 from .groebner import aci_ideal, squares_ideal
-from .linalg import Echelon, kernel_basis, sparse_rank
+from .linalg import Echelon, compose, kernel_basis, sparse_rank
 from .poly import Polynomial, squared_variable_sum
 from .quotient import GradedModuleSpan, QuotientRing, annihilator
 
@@ -235,17 +235,9 @@ def ci_differential(module: QuotientRing, U: Sequence[int], i: int, j: int):
 
 def _square_kills(module, t: int, top: int) -> bool:
     """Whether variable_map(t, d + 1) · variable_map(t, d) = 0 in every degree d."""
-    p = module.field.characteristic
-    for d in range(top - 1):
-        first = _variable_map_rows(module, d)[t][0]
-        for row in _variable_map_rows(module, d + 1)[t][0]:
-            acc: dict = {}
-            for r, v in row:
-                for c, w in first[r]:
-                    acc[c] = acc.get(c, 0) + v * w
-            if any(x % p if p else x for x in acc.values()):
-                return False
-    return True
+    return not any(
+        any(compose([(module.variable_map(t, d + 1), module.variable_map(t, d))], module.field)) for d in range(top - 1)
+    )
 
 
 def ci_resolution_betti(
@@ -428,7 +420,7 @@ def syzygy_betti(base: QuotientRing, module: QuotientRing, max_i: int, max_j: in
                     t = next((t for t, e in enumerate(m) if e), None)
                     grown[k][m] = g if t is None else times(t, degs, d - 1, below[m[:t] + (m[t] - 1,) + m[t + 1:]])
                 cols.extend(grown[k].values())
-            current[d] = kernel_basis([list(r) for r in zip(*cols)], field, ncols=len(cols)) if cols else []
+            current[d] = kernel_basis([[(r, v) for r, v in enumerate(col) if v] for col in cols], field)
 
     return BettiTable(
         n,

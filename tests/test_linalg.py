@@ -12,11 +12,11 @@ from aciring import linalg
 from aciring.fields import GF, MAX_PRIME, QQ
 from aciring.linalg import (
     Echelon,
+    compose,
     gf_matmul,
     gf_rank,
     int_det_bareiss,
     kernel_basis,
-    matmul,
     qq_rank,
     sparse_rank,
 )
@@ -274,7 +274,8 @@ def test_kernel_basis_rank_nullity(p):
         else:
             M = _random_fraction_matrix(rng, nrows, ncols)
             field, nullity = QQ, ncols - fraction_rank(M)
-        ker = kernel_basis([row[:] for row in M], field, ncols)
+        columns = [[(r, row[c]) for r, row in enumerate(M) if row[c]] for c in range(ncols)]
+        ker = kernel_basis(columns, field)
         assert len(ker) == nullity
         for v in ker:  # every kernel vector actually annihilates M (mod p)
             for row in M:
@@ -284,14 +285,16 @@ def test_kernel_basis_rank_nullity(p):
                 assert all(0 <= x < p for x in v)
 
 
-def test_matmul_qq_and_gf():
-    A = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-    B = [[Fraction(3)], [Fraction(-1, 2)]]
-    assert matmul(A, B, QQ) == [[Fraction(2)], [Fraction(-1, 2)]]
+def test_compose_qq_and_gf():
+    # A = [[1, 2], [0, 1]] and B = [[3], [-1/2]] as column maps: A·B = [[2], [-1/2]]
+    A = [[(0, Fraction(1))], [(0, Fraction(2)), (1, Fraction(1))]]
+    B = [[(0, Fraction(3)), (1, Fraction(-1, 2))]]
+    assert compose([(A, B)], QQ) == [[(0, Fraction(2)), (1, Fraction(-1, 2))]]
+    # over GF(7): [[1, 2], [0, 1]]·[[3], [6]] = [[15 mod 7], [6]]
     p = 7
-    Ap = [[1, 2], [0, 1]]
-    Bp = [[3], [6]]
-    assert matmul(Ap, Bp, GF(p)) == [[(3 + 12) % 7], [6]]
+    Ap = [[(0, 1)], [(0, 2), (1, 1)]]
+    Bp = [[(0, 3), (1, 6)]]
+    assert compose([(Ap, Bp)], GF(p)) == [[(0, (3 + 12) % 7), (1, 6)]]
 
 
 @pytest.mark.parametrize("p", FIELD_CHARS, ids=FIELD_IDS)
@@ -312,8 +315,10 @@ def test_echelon_insert_reports_dependence(p):
 
 
 def test_only_linalg_knows_the_matrix_format():
-    # outside linalg every matrix is a list of rows of field elements, so no
-    # other module imports numpy or asks which field it is working over
+    # outside linalg every linear map is a list of sparse columns, one list of
+    # (target position, value) pairs per source vector: no other module
+    # imports numpy, asks which field it is working over, or transposes a
+    # matrix with zip(*...) into a second format
     offenders = []
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
         if path.name == "linalg.py":
@@ -329,4 +334,11 @@ def test_only_linalg_knows_the_matrix_format():
                 offenders.append(f"{path.name}:{node.lineno} imports numpy")
             if isinstance(node, ast.Attribute) and node.attr == "is_prime_field":
                 offenders.append(f"{path.name}:{node.lineno} tests is_prime_field")
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "zip"
+                and any(isinstance(a, ast.Starred) for a in node.args)
+            ):
+                offenders.append(f"{path.name}:{node.lineno} transposes with zip(*...)")
     assert offenders == []

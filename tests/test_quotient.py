@@ -5,6 +5,7 @@ All expected numbers are frozen literals.  Rings are cached per test module
 because several tests want the same handful of quotients.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -29,6 +30,7 @@ from aciring import (
     squares_ideal,
     variable_sum,
 )
+from aciring.errors import DimensionMismatch, FieldMismatch
 from aciring.linalg import rank
 from aciring.quotient import GradedModuleSpan
 from aciring.resolution import gorenstein_presentation
@@ -70,6 +72,29 @@ def test_hilbert_function_r8():
     assert hilbert_function(ring("R", 8)) == [1, 8, 27, 48, 42]
 
 
+def test_polynomials_of_another_ring_are_refused():
+    P = named_quotient("P", 3, GF(7))
+    # over QQ, l/2 is not 4*l mod 7: refused, not answered with the wrong rank
+    with pytest.raises(FieldMismatch):
+        max_rank_check(P, variable_sum(3, QQ).scale(Fraction(1, 2)))
+    with pytest.raises(FieldMismatch):
+        P.to_vector(variable_sum(3, QQ), 1)
+    four = variable_sum(4, GF(7))
+    for call in (lambda: P.multiplication_map(four, 0), lambda: P.nf(four), lambda: P.to_vector(four, 1)):
+        with pytest.raises(DimensionMismatch):
+            call()
+    x1_squared = var(3, 0).power(2)
+    with pytest.raises(FieldMismatch):
+        QuotientRing([x1_squared, variable_sum(3, GF(7))])
+    with pytest.raises(DimensionMismatch):
+        QuotientRing([x1_squared, variable_sum(4, QQ)])
+    # an explicit n or field must agree with the generators
+    with pytest.raises(DimensionMismatch):
+        QuotientRing([x1_squared], n=4, field=QQ)
+    with pytest.raises(FieldMismatch):
+        QuotientRing([x1_squared], n=3, field=GF(7))
+
+
 # ---------------------------------------------------------------------------
 # multiplication maps
 # ---------------------------------------------------------------------------
@@ -79,9 +104,23 @@ def shape(M) -> tuple[int, int]:
     return (len(M), len(M[0]) if M else 0)
 
 
+def dense(column, size: int, field=QQ) -> list:
+    """A sparse column as a dense vector of the given size."""
+    vec = [field.zero()] * size
+    for r, c in column:
+        vec[r] = c
+    return vec
+
+
+def as_rows(columns, nrows: int) -> list:
+    """A column map as a list of rows, nrows of them."""
+    vectors = [dense(column, nrows) for column in columns]
+    return [[vec[r] for vec in vectors] for r in range(nrows)]
+
+
 def test_mult_map_by_x1_on_p2():
     P2 = ring("P", 2)
-    M = P2.multiplication_map(var(2, 0), 0)
+    M = as_rows(P2.multiplication_map(var(2, 0), 0), P2.hilbert_function(1))
     assert shape(M) == (2, 1)
     # degree-1 basis in descending order is (x1, x2); the image is x1
     assert [row[0] for row in M] == [QQ.one(), QQ.zero()]
@@ -90,14 +129,14 @@ def test_mult_map_by_x1_on_p2():
 def test_mult_map_by_h_squared_on_p5():
     P5 = ring("P", 5)
     M = P5.multiplication_map(squared_variable_sum(5, QQ), 1)
-    assert shape(M) == (10, 5)
+    assert shape(as_rows(M, P5.hilbert_function(3))) == (10, 5)
     assert rank(M, QQ) == 5
 
 
 def test_mult_map_by_h_squared_on_p4_top():
     P4 = ring("P", 4)
     M = P4.multiplication_map(squared_variable_sum(4, QQ), 2)
-    assert shape(M) == (1, 6)
+    assert shape(as_rows(M, P4.hilbert_function(4))) == (1, 6)
     assert rank(M, QQ) == 1
 
 
@@ -105,10 +144,9 @@ def test_mult_map_columns_are_normal_forms():
     R3 = ring("R", 3)
     f = var(3, 0) + var(3, 1)
     M = R3.multiplication_map(f, 1)
-    for j, m in enumerate(R3.basis(1)):
+    for column, m in zip(M, R3.basis(1), strict=True):
         image = R3.nf(f.mul(Polynomial.monomial(3, QQ, m)))
-        col = [row[j] for row in M]
-        assert R3.from_vector(2, col) == image
+        assert R3.from_vector(2, dense(column, R3.hilbert_function(2))) == image
     # the sparse columns of variable_map(i, d) are the normal forms of x_i·m,
     # and times_variable agrees with multiplication_map(x_i, d)
     for field in (QQ, GF(101)):
@@ -124,7 +162,28 @@ def test_mult_map_columns_are_normal_forms():
                             image = q.to_vector(q.nf(xi.mul(Polynomial.monomial(n, field, m))), d + 1)
                             assert column == [(r, c) for r, c in enumerate(image) if c], (label, n, d, i, m)
                         M = q.multiplication_map(xi, d)
-                        assert q.times_variable(i, d, identity) == [[row[c] for row in M] for c in range(h)]
+                        up = q.hilbert_function(d + 1)
+                        assert q.times_variable(i, d, identity) == [dense(column, up, field) for column in M]
+    # every column of multiplication_map(f, d) is the normal form of f·m, for
+    # f a constant, h, h^2, h^3 and a cubic with negative and fractional terms
+    for field in (QQ, GF(101)):
+        for label in "PRA":
+            for n in range(2, 6):
+                q = named_quotient(label, n, field)
+                h = variable_sum(n, field)
+                x = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+                cubic = Polynomial(n, field, [
+                    (tuple(3 * a for a in x[0]), field.parse_coeff("-1/2")),
+                    (tuple(map(sum, zip(x[0], x[1], x[-1]))), field.parse_coeff("3/4")),
+                    (tuple(3 * a for a in x[-1]), field.parse_coeff("-2")),
+                ])
+                for f in (Polynomial.constant(n, field, field.parse_coeff("-3/5")), h, h.power(2), h.power(3), cubic):
+                    for d in range(q.socle_degree() + 1):
+                        M = q.multiplication_map(f, d)
+                        assert len(M) == q.hilbert_function(d)
+                        for column, m in zip(M, q.basis(d)):
+                            image = q.to_vector(q.nf(f.mul(Polynomial.monomial(n, field, m))), d + f.degree)
+                            assert column == [(r, c) for r, c in enumerate(image) if c], (label, n, str(f), d, m)
     # G/J inside P: the columns are coordinates in the echelon basis one degree up
     P, gens = gorenstein_presentation(4, QQ)
     module = GradedModuleSpan(P, [g for g in gens if P.nf(g)], name="G/J")
