@@ -14,7 +14,7 @@ verify      Run a named verification suite and report PASS/FAIL per check.
 
 Exit codes: 0 success / all checks pass, 1 verification or cross-check
 failure, 2 usage error or an ``--out`` file that cannot be written, 3 resource
-cap exceeded, 4 internal failure.
+cap exceeded (a degree cap, or a ``MemoryError`` anywhere), 4 internal failure.
 
 Results of the compute subcommands are cached as JSON under the directory
 named by the ``ACIRING_CACHE_DIR`` environment variable (defaulting to the
@@ -496,8 +496,8 @@ def main(argv=None) -> int:
             finally:  # each distinct warning once, as one line
                 for message in dict.fromkeys(str(w.message) for w in caught):
                     print(f"warning: {message}", file=sys.stderr)
-    except DegreeCapExceeded as exc:
-        print(f"error: resource cap exceeded: {exc}", file=sys.stderr)
+    except (DegreeCapExceeded, MemoryError) as exc:
+        print(f"error: resource cap exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except Exception as exc:
         if isinstance(exc, ValueError) and not isinstance(exc, AciringError):

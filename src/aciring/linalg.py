@@ -14,9 +14,11 @@ Gaussian elimination (Faugere-Lachartre, PASCO 2010) in rounds of
 independent pivots ranked by Markowitz cost (Management Sci. 3, 1957), on
 flat numpy arrays.  Over QQ the pivots are the +-1 entries and the
 arithmetic is int64; over GF(p) any nonzero pivots, until the rest is
-dense.  What is left goes to the dense kernel: fraction-free (Bareiss)
-elimination over QQ, and over GF(p) ``gf_rank``, blocked elimination with
-delayed reduction and one matrix-product update per panel.
+dense.  What is left goes to the dense kernel as one tall block:
+fraction-free (Bareiss) elimination over QQ, and over GF(p) ``gf_rank``,
+blocked elimination in place with delayed reduction and one product update
+per panel, from ``gf_matmul``'s exact float64 products in chunks of
+floor((2^53 - 1) / (p-1)^2) columns (Dumas-Giorgi-Pernet, TOMS 35, 2008).
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field) -> int:
     rounds stop once the rest is dense (``_DENSE_SHARE``); over QQ, rows of
     ``Fraction``s are scaled to integers, and the rounds stop when no +-1 is
     left or an entry passes ``_QQ_ENTRY_BOUND``.  What is left goes to the
-    field's dense kernel, ``gf_rank`` or ``qq_rank``.
+    field's dense kernel, ``gf_rank`` or ``qq_rank``, longer side as rows.
     """
     p = field.characteristic
     if not p:
@@ -138,11 +140,14 @@ def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field) -> int:
         r, c, v = _schur_step(r, c, v, piv, nrows, ncols, p)
     if not v.size:
         return rk
-    # positions among the live rows and columns
+    # positions among the live rows and columns, the longer side as rows
     r_pos = np.cumsum(np.bincount(r, minlength=nrows) > 0) - 1
     c_pos = np.cumsum(np.bincount(c, minlength=ncols) > 0) - 1
+    if r_pos[-1] < c_pos[-1]:
+        r_pos, c_pos, r, c = c_pos, r_pos, c, r
     rest = np.zeros((r_pos[-1] + 1, c_pos[-1] + 1), dtype=v.dtype)
     rest[r_pos[r], c_pos[c]] = v
+    del r, c, v  # the dense kernel's temporaries need the room
     return rk + (gf_rank(rest, p) if p else qq_rank(rest.tolist()))
 
 
@@ -363,21 +368,23 @@ def _check_prime_bound(p: int) -> None:
 
 
 def gf_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p.  Uses exact float64 products when the sizes allow it."""
+    """A @ B mod p, summed over chunks of floor((2^53 - 1) / (p-1)^2) columns of A.
+
+    Each chunk's float64 product is exact and is reduced mod p in place; for
+    p near 32003 one chunk is the whole product.
+    """
     _check_prime_bound(p)
-    if A.size == 0 or B.size == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    k = A.shape[1]
-    # k * (p-1)^2 must stay under 2^53 for the float64 product to be exact
-    if k * (p - 1) * (p - 1) < (1 << 53):
-        C = (A.astype(np.float64) @ B.astype(np.float64)) % p
-        return C.astype(np.int64)
-    C = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    step = max(1, (1 << 53) // ((p - 1) * (p - 1)))
-    for s in range(0, k, step):
-        C += (A[:, s:s + step].astype(np.float64) @ B[s:s + step].astype(np.float64)).astype(np.int64) % p
-        C %= p
-    return C
+    step = ((1 << 53) - 1) // ((p - 1) * (p - 1))
+
+    def chunk(s: int) -> np.ndarray:
+        prod = A[:, s:s + step].astype(np.float64) @ B[s:s + step].astype(np.float64)
+        return np.remainder(prod, p, out=prod)
+
+    C = chunk(0)  # zeros when the inner dimension is empty
+    for s in range(step, A.shape[1], step):
+        C += chunk(s)
+        np.remainder(C, p, out=C)
+    return C.astype(np.int64)
 
 
 # Columns per panel of gf_rank.  Reduction is delayed inside a panel, so
@@ -388,20 +395,17 @@ _PANEL = 120
 
 
 def gf_rank(A: np.ndarray, p: int) -> int:
-    """Rank mod p.  Destroys A.
+    """Rank mod p.  Factors A in place, as given (A is destroyed).
 
-    Right-looking blocked elimination along the longer side: each panel of
-    columns is factored with scalar column steps (multipliers stored in place
-    of the zeroed entries, classic LU style), then the trailing block gets one
-    matrix-product update per panel.  Exact while _PANEL * p^2 < 2^63 (p below
-    about 2^28) and while gf_matmul's float64 products are exact (p below
-    about 2^26.5); p above ``fields.MAX_PRIME`` is refused.
+    Right-looking blocked elimination along the columns, fastest on a tall A,
+    which is how ``sparse_rank`` hands its rest over: each panel of columns is
+    factored with scalar column steps (multipliers stored in place of the
+    zeroed entries, classic LU style), then the trailing block gets one
+    in-place matrix-product update per panel.  Exact while _PANEL * p^2 < 2^63
+    (p below about 2^28) and while gf_matmul's float64 products are exact (p
+    below about 2^26.5); p above ``fields.MAX_PRIME`` is refused.
     """
     _check_prime_bound(p)
-    if A.size == 0:
-        return 0
-    if A.shape[0] < A.shape[1]:
-        A = A.T.copy()
     A %= p
     nrows, ncols = A.shape
     r = 0
@@ -412,8 +416,6 @@ def gf_rank(A: np.ndarray, p: int) -> int:
         piv_cols: list[int] = []
         invs: list[int] = []
         for c in range(c0, c1):
-            if r == nrows:
-                break
             col = A[r:, c] % p
             A[r:, c] = col
             nz = np.flatnonzero(col)
@@ -426,12 +428,11 @@ def gf_rank(A: np.ndarray, p: int) -> int:
             inv = pow(int(A[r, c]), p - 2, p)
             if inv != 1:
                 A[r, c:c1] = (A[r, c:c1] * inv) % p
-            if r + 1 < nrows:
-                f = A[r + 1:, c]
-                if np.any(f):
-                    A[r + 1:, c + 1:c1] -= f[:, None] * A[r, c + 1:c1][None, :]
-                    # column c below the pivot keeps holding f: that is the
-                    # stored multiplier for the trailing update
+            f = A[r + 1:, c]
+            if np.any(f):
+                A[r + 1:, c + 1:c1] -= f[:, None] * A[r, c + 1:c1][None, :]
+                # column c below the pivot keeps holding f: that is the
+                # stored multiplier for the trailing update
             piv_cols.append(c)
             invs.append(inv)
             r += 1
@@ -440,16 +441,16 @@ def gf_rank(A: np.ndarray, p: int) -> int:
             # the pivot rows' trailing parts are stale: forward-substitute
             # the recorded multipliers (and the pivot scalings) through them
             T = A[r_start:r, c1:]
-            L_pp = A[r_start:r, :][:, piv_cols]
+            L_pp = A[r_start:r, piv_cols]
             for a in range(k):
                 if a:
                     T[a] -= L_pp[a, :a] @ T[:a]
                 T[a] %= p
                 if invs[a] != 1:
                     T[a] = (T[a] * invs[a]) % p
-            if r < nrows:
-                L = A[r:, :][:, piv_cols]
-                A[r:, c1:] = (A[r:, c1:] - gf_matmul(L, T, p)) % p
+            trailing = A[r:, c1:]
+            trailing -= gf_matmul(A[r:, piv_cols], T, p)
+            trailing %= p
         c0 = c1
     return r
 

@@ -273,11 +273,7 @@ def ci_resolution_betti(
             return 0
         key = (i, j)
         if key not in rank_cache:
-            rows, nrows, ncols = ci_differential(module, U, i, j)
-            if nrows == 0 or ncols == 0:
-                rank_cache[key] = 0
-            else:
-                rank_cache[key] = sparse_rank(rows, nrows, ncols, field)
+            rank_cache[key] = sparse_rank(*ci_differential(module, U, i, j), field)
         return rank_cache[key]
 
     entries: dict = {}

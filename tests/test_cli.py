@@ -424,6 +424,8 @@ def test_degree_cap_exhaustion_exits_three(capsys):
     "exc, code, message",
     [
         (DegreeCapExceeded(2, "asked about degree 3"), 3, "resource cap exceeded: asked about degree 3"),
+        (MemoryError(), 3, "resource cap exceeded: out of memory"),
+        (MemoryError("Unable to allocate 9.3 GiB"), 3, "resource cap exceeded: Unable to allocate 9.3 GiB"),
         (ValueError("no such ring"), 2, "no such ring"),
         (DimensionMismatch("3 vs 4 variables"), 4, "internal failure: DimensionMismatch: 3 vs 4 variables"),
         (FieldMismatch("QQ vs GF(7)"), 4, "internal failure: FieldMismatch: QQ vs GF(7)"),
@@ -483,3 +485,43 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1 3 3 1\n"
+
+
+def test_processes_sharing_one_cache(tmp_path):
+    # Fresh interpreters on one cache directory: two started together, three
+    # times, then three readers started while a writer runs (each takes a
+    # few tenths of a second to import).  Every stdout equals the uncached
+    # one, and each directory ends with one valid entry and no temp file.
+    source_root = str(Path(aciring.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "aciring", "betti", "--ring", "A", "--n", "5", "--method", "koszul", "--format", "json"]
+
+    def start(directory, *extra):
+        env = {"PATH": "", "PYTHONPATH": pythonpath, "ACIRING_CACHE_DIR": str(directory)}
+        return subprocess.Popen([*argv, *extra], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+
+    def finish(proc):
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, "")
+        return out
+
+    def only_entry(directory):
+        assert not list(directory.glob("*.tmp"))
+        (path,) = directory.glob("*.json")
+        entry = json.loads(path.read_text())
+        assert entry["sha256"] == cache._digest(entry["payload"])
+        return path
+
+    want = finish(start(tmp_path / "unused", "--no-cache"))
+    assert not (tmp_path / "unused").exists()
+    for trial in range(3):
+        directory = tmp_path / f"pair{trial}"
+        assert [finish(proc) for proc in [start(directory), start(directory)]] == [want, want]
+        only_entry(directory)
+    directory = tmp_path / "readers"
+    procs = [start(directory) for _ in range(4)]
+    assert [finish(proc) for proc in procs] == [want] * 4
+    # once the entry is there, a reader is served from it and leaves it as it is
+    stored = only_entry(directory).stat()
+    assert finish(start(directory)) == want
+    assert only_entry(directory).stat().st_ino == stored.st_ino

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,6 +74,35 @@ def test_gf_rank_matches_oracle():
     L, R = nprng.integers(0, p, size=(140, 100)), nprng.integers(0, p, size=(100, 130))
     A = (L @ R) % p
     assert gf_rank(A.copy(), p) == gf_rank_slow(A.tolist(), p) == 100
+
+
+def test_gf_matmul_matches_exact_products():
+    # one chunk of the inner dimension at 32003, one column per chunk at
+    # MAX_PRIME, and an empty inner dimension
+    rng = np.random.default_rng(18)
+    for p, k in ((32003, 37), (MAX_PRIME, 37), (32003, 0)):
+        A, B = rng.integers(0, p, size=(23, k)), rng.integers(0, p, size=(k, 19))
+        want = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in B.T] for row in A]
+        got = gf_matmul(A, B, p)
+        assert got.dtype == np.int64 and got.tolist() == want, (p, k)
+
+
+def test_gf_rank_works_in_place():
+    # traced allocations while gf_rank factors A, tall, wide and square:
+    # no copy of A, and the trailing update made in place
+    p = 32003
+    rng = np.random.default_rng(19)
+    for nrows, ncols in ((900, 500), (500, 900), (400, 400)):
+        k = 3 * min(nrows, ncols) // 5
+        A = (rng.integers(0, p, size=(nrows, k)) @ rng.integers(0, p, size=(k, ncols))) % p
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert gf_rank(A, p) == k
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * A.nbytes, (nrows, ncols, peak / A.nbytes)
 
 
 def test_gf_kernels_refuse_primes_above_the_bound():
@@ -168,6 +198,8 @@ def test_sparse_rank_pivot_pass_matches_oracle(monkeypatch):
             assert sparse_rank(rows, nrows, ncols, GF(p)) == gf_rank_slow(dense, p), (p, trial)
             outcomes.add(len(handed_off) > calls)
     assert outcomes == {False, True}
+    # the dense rest arrives tall, its longer side as rows
+    assert all(rows >= cols for rows, cols in handed_off), handed_off
 
 
 def test_sparse_rank_explicit_zero_regression():

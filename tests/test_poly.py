@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from aciring.errors import DimensionMismatch
 from aciring.fields import GF, QQ
+from aciring.gorenstein import inverse_form
 from aciring.poly import (
     DividedPowerForm,
     Polynomial,
     contract,
     format_poly,
     monomials_of_degree,
+    parse_form,
     parse_poly,
     revlex_compare,
     revlex_key,
@@ -157,6 +159,21 @@ def test_parse_format_round_trip():
     # and in general parse . format is the identity on polynomials
     f = parse_poly("x2*x4 - x2*x3 + 5*x1^2", 4)
     assert parse_poly(format_poly(f), 4) == f
+
+
+def test_parse_form_round_trip():
+    for field in (QQ, GF(7)):
+        for n in range(2, 6):
+            F = inverse_form(n, field)
+            assert parse_form(str(F), n, field) == F, (n, field)
+    # a fractional coefficient and a square: -3/4 is 1 mod 7, -5 is 2
+    text = "-3/4*y1^2*y3 + y2*y3 - 5"
+    F = parse_form(text, 3)
+    assert F == DividedPowerForm(3, QQ, [((2, 0, 1), Fraction(-3, 4)), ((0, 1, 1), 1), ((0, 0, 0), -5)])
+    assert str(F) == text and parse_form(str(F), 3) == F
+    F7 = parse_form(text, 3, GF(7))
+    assert F7 == DividedPowerForm(3, GF(7), [((2, 0, 1), 1), ((0, 1, 1), 1), ((0, 0, 0), 2)])
+    assert parse_form(str(F7), 3, GF(7)) == F7
 
 
 # ----------------------------------------------------------------------
