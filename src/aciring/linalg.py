@@ -15,10 +15,12 @@ independent pivots ranked by Markowitz cost (Management Sci. 3, 1957), on
 flat numpy arrays.  Over QQ the pivots are the +-1 entries and the
 arithmetic is int64; over GF(p) any nonzero pivots, until the rest is
 dense.  What is left goes to the dense kernel as one tall block:
-fraction-free (Bareiss) elimination over QQ, and over GF(p) ``gf_rank``,
-blocked elimination in place with delayed reduction and one product update
-per panel, from ``gf_matmul``'s exact float64 products in chunks of
-floor((2^53 - 1) / (p-1)^2) columns (Dumas-Giorgi-Pernet, TOMS 35, 2008).
+fraction-free (Bareiss) elimination over QQ, and over GF(p) ``gf_rank``, a
+row-recursive reduced echelon form in place whose work is ``gf_matmul``
+products of the rank's size, with leaves of at most 8 rows (Dumas-Giorgi-
+Pernet, TOMS 35, 2008; Jeannerod-Pernet-Storjohann, JSC 56, 2013).  Each
+product is exact in float64 over chunks of floor((2^53 - 1) / (p-1)^2)
+columns and reduced mod p at once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .fields import MAX_PRIME, Field
+from .fields import MAX_PRIME, Field, is_prime
 
 # ----------------------------------------------------------------------
 # generic helpers
@@ -106,8 +108,10 @@ _ROUND_PIVOTS = 1 << 22
 
 # Over GF(p) the rounds hand the rest to gf_rank once it holds more than this
 # share of its live rows times live columns, unless a pivot without fill-in
-# (a singleton row or column) is left.  Of the shares tried on the n=8
-# Koszul slices, 0.05 to 0.4, none was faster than 0.15.
+# (a singleton row or column) is left.  With the recursive gf_rank, 0.1 made
+# the n=8 tables over GF(p) 8% faster (wall 2.02 -> 1.85 s, four pairs) but
+# raised their peak RSS from 79.5 to 87.9 MB, since the cores grow (A's
+# largest from 11.3 to 14.2 MB), so 0.15 stays.
 _DENSE_SHARE = 0.15
 
 
@@ -362,97 +366,93 @@ def int_det_bareiss(rows) -> int:
 # ----------------------------------------------------------------------
 
 
-def _check_prime_bound(p: int) -> None:
+def _check_modulus(p: int) -> None:
+    if p < 2:
+        raise ValueError(f"p = {p} is not a modulus: it must be at least 2")
     if p > MAX_PRIME:
         raise ValueError(f"p = {p} exceeds {MAX_PRIME}, the largest prime the mod-p kernels handle exactly")
 
 
 def gf_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p, summed over chunks of floor((2^53 - 1) / (p-1)^2) columns of A.
+    """A @ B mod p as int64, summed over chunks of floor((2^53 - 1) / (p-1)^2) columns of A.
 
-    Each chunk's float64 product is exact and is reduced mod p in place; for
-    p near 32003 one chunk is the whole product.
+    Entries in range(p).  Each chunk's float64 product is exact; it is cast
+    to int64 and reduced in place.  For p near 32003 one chunk is the whole
+    product.  Any modulus p >= 2 up to ``fields.MAX_PRIME`` is accepted.
     """
-    _check_prime_bound(p)
+    _check_modulus(p)
     step = ((1 << 53) - 1) // ((p - 1) * (p - 1))
 
     def chunk(s: int) -> np.ndarray:
-        prod = A[:, s:s + step].astype(np.float64) @ B[s:s + step].astype(np.float64)
-        return np.remainder(prod, p, out=prod)
+        prod = (A[:, s:s + step].astype(np.float64) @ B[s:s + step].astype(np.float64)).astype(np.int64)
+        prod %= p
+        return prod
 
     C = chunk(0)  # zeros when the inner dimension is empty
     for s in range(step, A.shape[1], step):
         C += chunk(s)
-        np.remainder(C, p, out=C)
-    return C.astype(np.int64)
+        C %= p
+    return C
 
 
-# Columns per panel of gf_rank.  Reduction is delayed inside a panel, so
-# entries grow to at most _PANEL * p^2.  Field, gf_rank and gf_matmul refuse
-# p above fields.MAX_PRIME, the largest prime with (p-1)^2 < 2^53: up to it each
-# float64 product in gf_matmul is exact, and _PANEL * p^2 < 2^63.
-_PANEL = 120
+# gf_rank reduces blocks of at most _LEAF rows by row operations.
+_LEAF = 8
 
 
 def gf_rank(A: np.ndarray, p: int) -> int:
-    """Rank mod p.  Factors A in place, as given (A is destroyed).
+    """Rank mod a prime p.  Factors A in place, as given (A is destroyed).
 
-    Right-looking blocked elimination along the columns, fastest on a tall A,
-    which is how ``sparse_rank`` hands its rest over: each panel of columns is
-    factored with scalar column steps (multipliers stored in place of the
-    zeroed entries, classic LU style), then the trailing block gets one
-    in-place matrix-product update per panel.  Exact while _PANEL * p^2 < 2^63
-    (p below about 2^28) and while gf_matmul's float64 products are exact (p
-    below about 2^26.5); p above ``fields.MAX_PRIME`` is refused.
+    Row-recursive reduced echelon form with leaves of at most _LEAF = 8 rows
+    (``_echelon``), whose work is ``gf_matmul`` products with the rank found
+    so far as inner dimension.  Every update is reduced at once, so entries
+    stay in range(p) and exactness is gf_matmul's chunk rule alone.
+    ``sparse_rank`` hands its rest over tall.  A p that is not prime, or
+    above ``fields.MAX_PRIME``, is refused.
     """
-    _check_prime_bound(p)
+    _check_modulus(p)
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     A %= p
-    nrows, ncols = A.shape
-    r = 0
-    c0 = 0
-    while c0 < ncols and r < nrows:
-        c1 = min(c0 + _PANEL, ncols)
-        r_start = r
-        piv_cols: list[int] = []
-        invs: list[int] = []
-        for c in range(c0, c1):
-            col = A[r:, c] % p
-            A[r:, c] = col
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
-                continue
-            piv = r + int(nz[0])
-            if piv != r:
-                A[[r, piv]] = A[[piv, r]]  # full-row swap keeps stored multipliers with their rows
-            A[r, c:c1] %= p
-            inv = pow(int(A[r, c]), p - 2, p)
-            if inv != 1:
-                A[r, c:c1] = (A[r, c:c1] * inv) % p
-            f = A[r + 1:, c]
-            if np.any(f):
-                A[r + 1:, c + 1:c1] -= f[:, None] * A[r, c + 1:c1][None, :]
-                # column c below the pivot keeps holding f: that is the
-                # stored multiplier for the trailing update
-            piv_cols.append(c)
-            invs.append(inv)
-            r += 1
-        if piv_cols and c1 < ncols:
-            k = len(piv_cols)
-            # the pivot rows' trailing parts are stale: forward-substitute
-            # the recorded multipliers (and the pivot scalings) through them
-            T = A[r_start:r, c1:]
-            L_pp = A[r_start:r, piv_cols]
-            for a in range(k):
-                if a:
-                    T[a] -= L_pp[a, :a] @ T[:a]
-                T[a] %= p
-                if invs[a] != 1:
-                    T[a] = (T[a] * invs[a]) % p
-            trailing = A[r:, c1:]
-            trailing -= gf_matmul(A[r:, piv_cols], T, p)
-            trailing %= p
-        c0 = c1
-    return r
+    return len(_echelon(A, p))
+
+
+def _echelon(A: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of A's reduced echelon form, whose rows it leaves in A[:rank].
+
+    The top half's echelon form reduces the bottom half by one product; the
+    bottom's nonzero rows are put in echelon form, which reduces the top by
+    one more product.  Rows past the rank are left as scratch.  Blocks of at
+    most _LEAF rows are reduced by row operations (Gauss-Jordan).
+    """
+    if A.shape[0] > _LEAF:
+        top, bottom = A[:A.shape[0] // 2], A[A.shape[0] // 2:]
+        piv = _echelon(top, p)
+        if piv:
+            bottom -= gf_matmul(bottom[:, piv], top[:len(piv)], p)
+            bottom %= p
+        live = np.flatnonzero(bottom.any(axis=1))
+        bottom[:live.size] = bottom[live]
+        piv2 = _echelon(bottom[:live.size], p)
+        if piv2:
+            top[:len(piv)] -= gf_matmul(top[:len(piv), piv2], bottom[:len(piv2)], p)
+            top[:len(piv)] %= p
+            A[len(piv):len(piv) + len(piv2)] = bottom[:len(piv2)]
+        return piv + piv2
+    piv = []
+    for i in range(A.shape[0]):
+        nz = np.flatnonzero(A[i])
+        if not nz.size:
+            continue
+        r, c = len(piv), int(nz[0])
+        if r < i:
+            A[[r, i]] = A[[i, r]]  # row r is zero, as is every row between the basis and row i
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), p - 2, p) % p
+        f = A[:, c].copy()
+        f[r] = 0
+        A[:, c:] -= f[:, None] * A[r, c:]
+        A[:, c:] %= p
+        piv.append(c)
+    return piv
 
 
 # ----------------------------------------------------------------------

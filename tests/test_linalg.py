@@ -115,6 +115,60 @@ def test_gf_kernels_refuse_primes_above_the_bound():
         gf_matmul(A, A.T.copy(), p)
 
 
+def test_gf_kernels_refuse_a_modulus_that_is_not_prime():
+    # gf_rank used to return 2 for diag(2, 2) mod 4 and 1 for [[5]] mod 25,
+    # and gf_matmul mod 1 raised a bare ZeroDivisionError
+    with pytest.raises(ValueError, match="not prime"):
+        gf_rank(np.diag([2, 2]).astype(np.int64), 4)
+    with pytest.raises(ValueError, match="not prime"):
+        gf_rank(np.array([[5]], dtype=np.int64), 25)
+    A = np.arange(6, dtype=np.int64).reshape(2, 3)
+    with pytest.raises(ValueError, match="at least 2"):
+        gf_matmul(A, A.T.copy(), 1)
+    # a product mod a composite is well defined
+    assert gf_matmul(A, A.T.copy(), 4).tolist() == [[1, 2], [2, 2]]
+
+
+def _low_rank(rng, nrows, ncols, k, p):
+    """A random nrows x ncols matrix mod p of rank at most k, as int64."""
+    L = rng.integers(0, p, size=(nrows, k)).astype(object)
+    R = rng.integers(0, p, size=(k, ncols)).astype(object)
+    return (np.dot(L, R) % p).astype(np.int64) if k else np.zeros((nrows, ncols), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, MAX_PRIME])
+def test_gf_rank_recursion_matches_oracle(p):
+    # row counts around the leaf size and the halvings, tall and wide, from
+    # all-zero to full rank; each echelon form is checked as well as its rank
+    leaf = linalg._LEAF
+    rng = np.random.default_rng(21)
+    cases = [np.zeros((0, 4), dtype=np.int64), np.zeros((5, 0), dtype=np.int64)]
+    for nrows in (1, leaf, leaf + 1, 2 * leaf, 2 * leaf + 1, 4 * leaf + 3):
+        for ncols in (1, 5, 3 * nrows + 1):
+            for k in sorted({0, 1, min(nrows, ncols) // 2, min(nrows, ncols)}):
+                cases.append(_low_rank(rng, nrows, ncols, k, p))
+    # the rank is complete after the top half, so the bottom half reduces to
+    # zero; then the same top half under a bottom half whose pivots come first
+    top = _low_rank(rng, leaf, 30, leaf, p)
+    top[:, :3] = 0
+    full = np.vstack((top, _low_rank(rng, leaf + 1, leaf, leaf, p) @ top % p))
+    early = full.copy()
+    early[-3:, :3] = rng.integers(1, p, size=(3, 3))
+    # zero and repeated rows scattered through the bottom halves
+    sparse = _low_rank(rng, 4 * leaf + 3, 12, 6, p)
+    sparse[::3] = 0
+    sparse[leaf + 2] = sparse[leaf + 1]
+    cases += [full, early, sparse]
+    for A in cases:
+        want = gf_rank_slow(A.tolist(), p)
+        assert gf_rank(A.copy(), p) == want, (A.shape, p)
+        E = A.copy()
+        piv = linalg._echelon(E, p)
+        basis = E[:len(piv)]
+        assert len(piv) == want and basis[:, piv].tolist() == np.eye(want, dtype=np.int64).tolist()
+        assert gf_rank_slow(A.tolist() + basis.tolist(), p) == want, (A.shape, p)
+
+
 def test_sparse_rank_matches_dense_both_fields():
     rng = random.Random(13)
     for trial in range(120):
