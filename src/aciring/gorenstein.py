@@ -30,6 +30,7 @@ from .poly import (
     variable_sum,
 )
 from .quotient import QuotientRing
+from .runmemo import _per_run
 
 __all__ = [
     "BallotSequence",
@@ -69,6 +70,7 @@ def g_polynomial(n: int, field: Field = QQ) -> Polynomial:
     return f
 
 
+@_per_run
 def G_from_orbit(n: int, field: Field = QQ) -> list[Polynomial]:
     """The variable squares together with the full symmetric orbit of
     :func:`g_polynomial`."""
@@ -150,6 +152,7 @@ def _contraction_kernel(n: int, field: Field, form: DividedPowerForm, cols: list
     return kernel_basis(columns, field)
 
 
+@_per_run
 def ann_of_form(n: int, field: Field = QQ) -> list[Polynomial]:
     """Minimal generators, found through degree n, of the ideal of
     polynomials whose contraction against :func:`inverse_form` vanishes.

@@ -28,6 +28,7 @@ from .groebner import aci_ideal, squares_ideal
 from .linalg import Echelon, compose, kernel_basis, sparse_rank
 from .poly import Polynomial, squared_variable_sum
 from .quotient import GradedModuleSpan, QuotientRing, annihilator
+from .runmemo import _per_run
 
 
 class BettiTable:
@@ -303,6 +304,7 @@ def ci_resolution_betti(
     )
 
 
+@_per_run
 def koszul_betti(module: QuotientRing, max_i: int | None = None, max_j: int | None = None) -> BettiTable:
     """Betti numbers over the polynomial ring (Koszul complex route)."""
     return ci_resolution_betti(module, (), max_i=max_i, max_j=max_j)
@@ -434,6 +436,7 @@ def syzygy_betti(base: QuotientRing, module: QuotientRing, max_i: int, max_j: in
 # ----------------------------------------------------------------------
 
 
+@_per_run
 def gorenstein_presentation(n: int, field) -> tuple[QuotientRing, list[Polynomial]]:
     """The ring P = Q/(squares) and the generators of G = (squares) : h^2.
 
@@ -483,6 +486,7 @@ def duality_check(n: int, field=None) -> bool:
     return flipped == right.entries
 
 
+@_per_run
 def named_quotient(label: str, n: int, field, degree_cap: int | None = None) -> QuotientRing:
     """P, R or A in n variables over the given field (A via the colon construction)."""
     if label == "P":

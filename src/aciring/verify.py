@@ -1,4 +1,4 @@
-"""Verification suites: every headline identity re-checked from scratch.
+"""Verification suites: every headline identity re-checked by computation.
 
 Each suite runs a family of independent checks over a range of n, timing
 each one and recording expected versus computed values.  Suites mirror the
@@ -7,6 +7,14 @@ computations, Betti tables by formula against actual resolutions, the
 Gorenstein ideal built three ways, socle structure, exact zero divisors,
 reduction/lifting across the hypersurface, duality, the sequence
 recursions, and the strong Lefschetz checks.
+
+One ``run_suite`` call builds what its checks share once: the rings P, R
+and A per n and field, the colon presentation of G, G's orbit and
+dual-form generators, and the Koszul table of a ring.  They live in a memo
+that the run opens and drops on return (``runmemo``).  The colon, orbit and
+dual routes to G stay three separate constructions, and each check still
+compares one route against another or against a closed formula.  A check's
+``runtime_ms`` leaves out what an earlier check of the same run built.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .resolution import (
     lifting_identity_check,
     named_quotient,
 )
+from .runmemo import _run_scope
 
 # frozen reference data for the sequences suite (even n only)
 RHO_LISTS = {
@@ -377,9 +386,10 @@ def run_suite(suite: str, ns: list[int] | None = None, characteristic: int | Non
         raise ValueError(f"suite {suite!r} has no check at n = {', '.join(map(str, ns))}")
 
     records: list[CheckRecord] = []
-    for default, over_field, checks in groups:
-        for n in _wanted(ns, default):
-            args = (n, _field(n, characteristic)) if over_field else (n,)
-            for check_id, fn in checks:
-                _timed(records, check_id, n, lambda: fn(*args))
+    with _run_scope():
+        for default, over_field, checks in groups:
+            for n in _wanted(ns, default):
+                args = (n, _field(n, characteristic)) if over_field else (n,)
+                for check_id, fn in checks:
+                    _timed(records, check_id, n, lambda: fn(*args))
     return VerificationReport(suite, records)

@@ -57,9 +57,11 @@ def test_gf_rank_matches_oracle():
             dtype=np.int64,
         )
         assert gf_rank(A.copy(), p) == gf_rank_slow(A.tolist(), p)
-    # smaller side over two or three 120-column panels, tall and wide: rank k
-    # from L @ R ends inside a panel, and a repeated row/column of the factors
-    # plus a zero one make the panels skip pivots
+    # tall and wide products L @ R of rank k, through four or five levels of
+    # _echelon's row halving, where bottom rows that the top half's basis
+    # reduces to zero are dropped before the rest recurses: row 7 repeats row 2
+    # (in the same 8-row leaf or in the next one) and row 125 is zero, and a
+    # repeated and a zero column of the factors make the pivot columns skip
     nprng = np.random.default_rng(12)
     for nrows, ncols, k in ((250, 130, 130), (130, 250, 125), (250, 245, 200), (241, 260, 170)):
         L = nprng.integers(0, p, size=(nrows, k))
@@ -68,8 +70,8 @@ def test_gf_rank_matches_oracle():
         L[125], R[:, 126] = 0, 0
         A = (L @ R) % p  # entries stay below k * p^2 < 2^63
         assert gf_rank(A.copy(), p) == gf_rank_slow(A.tolist(), p)
-    # the largest prime a Field accepts: the panel's delayed reduction and
-    # gf_matmul's float64 products are still exact (at 2^31 - 1 they are not)
+    # the largest prime a Field accepts: gf_matmul's float64 products, which
+    # both updates of each halving take, are still exact (at 2^31 - 1 they are not)
     p = MAX_PRIME
     L, R = nprng.integers(0, p, size=(140, 100)), nprng.integers(0, p, size=(100, 130))
     A = (L @ R) % p

@@ -1,7 +1,18 @@
 """The library entry to the verification suites."""
 
+import gc
+import sys
+import weakref
+from collections import Counter
+from contextlib import contextmanager
+
 import pytest
 
+from aciring import resolution, runmemo, verify
+from aciring.fields import QQ
+from aciring.gorenstein import G_from_orbit, ann_of_form
+from aciring.quotient import QuotientRing
+from aciring.resolution import BettiTable, gorenstein_presentation, koszul_betti, named_quotient
 from aciring.verify import run_suite
 
 
@@ -28,3 +39,77 @@ def test_run_suite_accepts_a_characteristic_above_n():
 def test_run_suite_refuses_n_values_that_select_no_check(suite, ns):
     with pytest.raises(ValueError, match="no check"):
         run_suite(suite, ns)
+
+
+# ----------------------------------------------------------------------
+# one construction per run: the memo opened by run_suite
+# ----------------------------------------------------------------------
+
+
+def test_run_suite_builds_each_named_ring_and_presentation_once(monkeypatch):
+    named = Counter()
+    built = []
+    init = QuotientRing.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+        if sys._getframe(1).f_code.co_name == "named_quotient":
+            named[(self.name, self.n, self.field.characteristic)] += 1
+
+    colons = Counter()
+    colon = resolution.annihilator
+
+    def counting_colon(P, f, *args):
+        colons[P.n] += 1
+        return colon(P, f, *args)
+
+    monkeypatch.setattr(QuotientRing, "__init__", counting_init)
+    monkeypatch.setattr(resolution, "annihilator", counting_colon)
+    assert run_suite("all", list(range(2, 8))).passed
+    assert named == {(label, n, 0): 1 for label in "PRA" for n in range(2, 8)}
+    assert colons == {n: 1 for n in range(2, 8)}
+    # nothing built inside the run outlives it
+    gc.collect()
+    assert built and not [ref for ref in built if ref() is not None]
+
+
+def test_named_quotient_outside_a_run_builds_afresh():
+    assert named_quotient("R", 4, QQ) is not named_quotient("R", 4, QQ)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, BettiTable):
+        fields = ("entries", "window", "ring_label", "module_label", "characteristic", "method")
+        return all(getattr(a, f) == getattr(b, f) for f in fields)
+    if isinstance(a, QuotientRing):
+        return a.name == b.name and a.generators == b.generators
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def test_run_suite_leaves_its_shared_results_as_built(monkeypatch):
+    """Every shared result still equals a fresh computation when the run ends,
+    so no check edited a list or a table that the others read."""
+    public = {
+        f.__wrapped__: f
+        for f in (gorenstein_presentation, G_from_orbit, ann_of_form, koszul_betti)
+    }
+    seen: dict = {}
+    scope = verify._run_scope
+
+    @contextmanager
+    def capturing_scope():
+        with scope():
+            yield
+            seen.update(runmemo._memo.get())
+
+    monkeypatch.setattr(verify, "_run_scope", capturing_scope)
+    assert run_suite("all", [4, 5]).passed
+    checked = Counter()
+    for (fn, args, kwargs), value in seen.items():
+        if fn in public:
+            assert _same(value, public[fn](*args, **dict(kwargs))), (fn.__name__, args)
+            checked[fn.__name__] += 1
+    assert set(checked) == {f.__name__ for f in public}
