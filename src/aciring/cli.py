@@ -12,6 +12,11 @@ gorenstein  Generators of the Gorenstein ideal, predicted vs computed
             strong-Lefschetz verdict.
 verify      Run a named verification suite and report PASS/FAIL per check.
 
+``hilbert`` and ``betti`` share one cross-check rule: for each n the result
+holds the formula value, the computed value and whether they ``match``, and
+the command exits 1 if any n does not match.  Text shows both values and
+``match: yes`` or ``match: NO``; csv shows the formula value.
+
 Exit codes: 0 success / all checks pass, 1 verification or cross-check
 failure, 2 usage error or an ``--out`` file that cannot be written, 3 resource
 cap exceeded (a degree cap, or a ``MemoryError`` anywhere), 4 internal failure.
@@ -72,29 +77,28 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--n", type=int, help="number of variables")
         group.add_argument("--n-range", metavar="A..B", help="inclusive range of n values")
 
+    def add_char(p):
+        p.add_argument("--char", type=int, default=None, help="coefficient characteristic (0 = rationals)")
+
     def add_output(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
-    ph = sub.add_parser("hilbert", help="Hilbert function of P, R or A")
-    add_n(ph)
-    ph.add_argument("--ring", choices=("P", "R", "A"), required=True)
-    ph.add_argument("--char", type=int, default=None, help="coefficient characteristic (0 = rationals)")
-    ph.add_argument("--method", choices=("formula", "quotient"), default="formula")
-    ph.add_argument("--cross-check", action="store_true", help="run both methods and compare")
-    ph.add_argument("--degree-cap", type=int, default=None, help="abort if the computation needs higher degrees")
-    ph.add_argument("--no-cache", action="store_true")
-    add_output(ph)
-
-    pb = sub.add_parser("betti", help="graded Betti table of R or A")
-    add_n(pb)
-    pb.add_argument("--ring", choices=("R", "A"), required=True)
-    pb.add_argument("--char", type=int, default=None, help="coefficient characteristic (0 = rationals)")
-    pb.add_argument("--method", choices=("formula", "koszul"), default="formula")
-    pb.add_argument("--cross-check", action="store_true", help="run both methods and compare")
-    pb.add_argument("--degree-cap", type=int, default=None, help="compute the table only through this internal degree")
-    pb.add_argument("--no-cache", action="store_true")
-    add_output(pb)
+    for name, help_, rings, computed, cap_help in (
+        ("hilbert", "Hilbert function of P, R or A", ("P", "R", "A"), "quotient",
+         "abort if the computation needs higher degrees"),
+        ("betti", "graded Betti table of R or A", ("R", "A"), "koszul",
+         "compute the table only through this internal degree"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        add_n(p)
+        p.add_argument("--ring", choices=rings, required=True)
+        add_char(p)
+        p.add_argument("--method", choices=("formula", computed), default="formula")
+        p.add_argument("--cross-check", action="store_true", help="run both methods and compare")
+        p.add_argument("--degree-cap", type=int, default=None, help=cap_help)
+        p.add_argument("--no-cache", action="store_true")
+        add_output(p)
 
     ps = sub.add_parser("sequence", help="rho or gamma sequence (even n)")
     ps.add_argument("kind", choices=("rho", "gamma"))
@@ -104,14 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gorenstein", help="Gorenstein ideal: generators, initial ideal, Lefschetz data")
     add_n(pg)
-    pg.add_argument("--char", type=int, default=None, help="coefficient characteristic (0 = rationals)")
+    add_char(pg)
     pg.add_argument("--no-cache", action="store_true")
     add_output(pg)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     add_n(pv, required=False)
-    pv.add_argument("--char", type=int, default=None, help="coefficient characteristic (0 = rationals)")
+    add_char(pv)
     add_output(pv)
 
     return parser
@@ -165,9 +169,61 @@ def _cached(args, key, compute):
     return payload
 
 
+def _words(values) -> str:
+    return " ".join(map(str, values))
+
+
+def _verdict(match: bool) -> str:
+    return "yes" if match else "NO"
+
+
+def _per_n_text(results: list[dict]) -> str:
+    """The values alone for a single n, else one ``n=N: values`` line per n."""
+    if len(results) == 1:
+        return _words(results[0]["values"]) + "\n"
+    return "".join(f"n={r['n']}: {_words(r['values'])}\n" for r in results)
+
+
+def _per_n_csv(results: list[dict], index: str, key: str) -> str:
+    return f"n,{index},value\n" + "".join(f"{r['n']},{i},{v}\n" for r in results for i, v in enumerate(r[key]))
+
+
 # ----------------------------------------------------------------------
-# hilbert
+# hilbert and betti: one value per n, or the cross-check of two
 # ----------------------------------------------------------------------
+
+
+def _table(args, parser, ns, value, plain: str, computed: str) -> tuple[dict, int]:
+    """The payload of ``hilbert`` or ``betti`` over ``ns``, and its exit code.
+
+    ``value(method, n, characteristic)`` is one n's value by ``"formula"`` or
+    by the ``computed`` method.  A plain run stores the chosen method's value
+    under ``plain``; a cross-check stores both values and ``match``, and exits
+    1 if any n does not match.
+    """
+    characteristic = _resolve_char(args, ns, parser)
+    method = "cross-check" if args.cross_check else args.method
+
+    def result(n):
+        if not args.cross_check:
+            return {"n": n, plain: value(args.method, n, characteristic)}
+        by_formula, by_computed = value("formula", n, characteristic), value(computed, n, characteristic)
+        return {"n": n, "formula": by_formula, computed: by_computed, "match": by_formula == by_computed}
+
+    def compute():
+        return {
+            "command": args.command,
+            "ring": args.ring,
+            "characteristic": characteristic,
+            "method": method,
+            "results": [result(n) for n in ns],
+        }
+
+    key = cache_key(
+        args.command, ring=args.ring, ns=ns, characteristic=characteristic, method=method, degree_cap=args.degree_cap
+    )
+    payload = _cached(args, key, compute)
+    return payload, int(args.cross_check and not all(r["match"] for r in payload["results"]))
 
 
 def _hilbert_by_quotient(ring: str, n: int, characteristic: int, degree_cap: int | None) -> list[int]:
@@ -177,159 +233,62 @@ def _hilbert_by_quotient(ring: str, n: int, characteristic: int, degree_cap: int
 
 def cmd_hilbert(args, parser) -> tuple[str, int]:
     ns = _parse_ns(args, parser)
-    characteristic = _resolve_char(args, ns, parser)
-    method = "cross-check" if args.cross_check else args.method
 
-    key = cache_key(
-        "hilbert",
-        ring=args.ring,
-        ns=ns,
-        characteristic=characteristic,
-        method=method,
-        degree_cap=args.degree_cap,
-    )
+    def value(method, n, characteristic):
+        if method == "formula":
+            return hilbert_formula(args.ring, n)
+        return _hilbert_by_quotient(args.ring, n, characteristic, args.degree_cap)
 
-    def compute():
-        results = []
-        for n in ns:
-            if args.cross_check:
-                by_formula = hilbert_formula(args.ring, n)
-                by_quotient = _hilbert_by_quotient(args.ring, n, characteristic, args.degree_cap)
-                results.append(
-                    {"n": n, "formula": by_formula, "quotient": by_quotient, "match": by_formula == by_quotient}
-                )
-            elif args.method == "formula":
-                results.append({"n": n, "values": hilbert_formula(args.ring, n)})
-            else:
-                results.append(
-                    {"n": n, "values": _hilbert_by_quotient(args.ring, n, characteristic, args.degree_cap)}
-                )
-        return {
-            "command": "hilbert",
-            "ring": args.ring,
-            "characteristic": characteristic,
-            "method": method,
-            "results": results,
-        }
-
-    payload = _cached(args, key, compute)
-    code = 0
-    if args.cross_check and not all(r["match"] for r in payload["results"]):
-        code = 1
-
+    payload, code = _table(args, parser, ns, value, "values", "quotient")
+    results = payload["results"]
     if args.format == "json":
         return _json_text(payload), code
     if args.format == "csv":
-        lines = ["n,i,value"]
-        for r in payload["results"]:
-            values = r["values"] if "values" in r else r["formula"]
-            lines.extend(f"{r['n']},{i},{v}" for i, v in enumerate(values))
-        return "\n".join(lines) + "\n", code
+        return _per_n_csv(results, "i", "formula" if args.cross_check else "values"), code
+    if not args.cross_check:
+        return _per_n_text(results), code
     lines = []
-    single = len(payload["results"]) == 1
-    for r in payload["results"]:
-        if args.cross_check:
-            lines.append(f"n={r['n']} formula:  " + " ".join(map(str, r["formula"])))
-            lines.append(f"n={r['n']} quotient: " + " ".join(map(str, r["quotient"])))
-            lines.append(f"n={r['n']} match: " + ("yes" if r["match"] else "NO"))
-        elif single:
-            lines.append(" ".join(map(str, r["values"])))
-        else:
-            lines.append(f"n={r['n']}: " + " ".join(map(str, r["values"])))
+    for r in results:
+        lines.append(f"n={r['n']} formula:  {_words(r['formula'])}")
+        lines.append(f"n={r['n']} quotient: {_words(r['quotient'])}")
+        lines.append(f"n={r['n']} match: {_verdict(r['match'])}")
     return "\n".join(lines) + "\n", code
-
-
-# ----------------------------------------------------------------------
-# betti
-# ----------------------------------------------------------------------
-
-
-def _entries_to_json(entries: dict) -> list[dict]:
-    return [{"i": i, "j": j, "value": v} for (i, j), v in sorted(entries.items())]
-
-
-def _entries_from_json(items: list[dict]) -> dict:
-    return {(e["i"], e["j"]): e["value"] for e in items}
-
-
-def _betti_entries(ring: str, n: int, characteristic: int, method: str, degree_cap: int | None) -> dict:
-    if method == "formula":
-        entries = betti_table_formula(ring, n).entries
-        if degree_cap is not None:
-            entries = {(i, j): v for (i, j), v in entries.items() if j <= degree_cap}
-        return entries
-    module = named_quotient(ring, n, field_for_char(characteristic))
-    return koszul_betti(module, max_j=degree_cap).entries
 
 
 def cmd_betti(args, parser) -> tuple[str, int]:
     ns = _parse_ns(args, parser)
     if args.format == "csv" and len(ns) > 1:
         parser.error("csv output needs a single --n")
-    characteristic = _resolve_char(args, ns, parser)
-    method = "cross-check" if args.cross_check else args.method
 
-    key = cache_key(
-        "betti",
-        ring=args.ring,
-        ns=ns,
-        characteristic=characteristic,
-        method=method,
-        degree_cap=args.degree_cap,
-    )
+    def value(method, n, characteristic):
+        if method == "formula":
+            entries = betti_table_formula(args.ring, n).entries
+            if args.degree_cap is not None:
+                entries = {(i, j): v for (i, j), v in entries.items() if j <= args.degree_cap}
+        else:
+            module = named_quotient(args.ring, n, field_for_char(characteristic))
+            entries = koszul_betti(module, max_j=args.degree_cap).entries
+        return [{"i": i, "j": j, "value": v} for (i, j), v in sorted(entries.items())]
 
-    def compute():
-        results = []
-        for n in ns:
-            if args.cross_check:
-                by_formula = _betti_entries(args.ring, n, characteristic, "formula", args.degree_cap)
-                by_koszul = _betti_entries(args.ring, n, characteristic, "koszul", args.degree_cap)
-                results.append(
-                    {
-                        "n": n,
-                        "formula": _entries_to_json(by_formula),
-                        "koszul": _entries_to_json(by_koszul),
-                        "match": by_formula == by_koszul,
-                    }
-                )
-            else:
-                entries = _betti_entries(args.ring, n, characteristic, args.method, args.degree_cap)
-                results.append({"n": n, "entries": _entries_to_json(entries)})
-        return {
-            "command": "betti",
-            "ring": args.ring,
-            "characteristic": characteristic,
-            "method": method,
-            "results": results,
-        }
-
-    payload = _cached(args, key, compute)
-    code = 0
-    if args.cross_check and not all(r["match"] for r in payload["results"]):
-        code = 1
-
+    payload, code = _table(args, parser, ns, value, "entries", "koszul")
     if args.format == "json":
         return _json_text(payload), code
     if args.format == "csv":
-        r = payload["results"][0]
-        items = r["entries"] if "entries" in r else r["formula"]
-        lines = ["i,j,value"]
-        lines.extend(f"{e['i']},{e['j']},{e['value']}" for e in items)
-        return "\n".join(lines) + "\n", code
+        items = payload["results"][0]["formula" if args.cross_check else "entries"]
+        return "i,j,value\n" + "".join(f"{e['i']},{e['j']},{e['value']}\n" for e in items), code
+
+    def table(r, key):
+        return BettiTable(r["n"], {(e["i"], e["j"]): e["value"] for e in r[key]}).format()
 
     blocks = []
     for r in payload["results"]:
         head = f"{args.ring}, n = {r['n']}"
         if args.cross_check:
-            left = BettiTable(r["n"], _entries_from_json(r["formula"]))
-            right = BettiTable(r["n"], _entries_from_json(r["koszul"]))
-            verdict = "yes" if r["match"] else "NO"
             blocks.append(
-                f"{head}\nformula:\n{left.format()}\nkoszul:\n{right.format()}\nmatch: {verdict}"
+                f"{head}\nformula:\n{table(r, 'formula')}\nkoszul:\n{table(r, 'koszul')}\nmatch: {_verdict(r['match'])}"
             )
         else:
-            table = BettiTable(r["n"], _entries_from_json(r["entries"]))
-            blocks.append(f"{head}\n{table.format()}")
+            blocks.append(f"{head}\n{table(r, 'entries')}")
     return "\n\n".join(blocks) + "\n", code
 
 
@@ -360,16 +319,8 @@ def cmd_sequence(args, parser) -> tuple[str, int]:
     if args.format == "json":
         return _json_text(payload), 0
     if args.format == "csv":
-        lines = ["n,k,value"]
-        for r in payload["results"]:
-            lines.extend(f"{r['n']},{k},{v}" for k, v in enumerate(r["values"]))
-        return "\n".join(lines) + "\n", 0
-    lines = []
-    single = len(payload["results"]) == 1
-    for r in payload["results"]:
-        body = " ".join(map(str, r["values"]))
-        lines.append(body if single else f"n={r['n']}: {body}")
-    return "\n".join(lines) + "\n", 0
+        return _per_n_csv(payload["results"], "k", "values"), 0
+    return _per_n_text(payload["results"]), 0
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +375,7 @@ def cmd_gorenstein(args, parser) -> tuple[str, int]:
         lines.extend(f"  {g}" for g in r["generators"])
         lines.append("predicted initial ideal: " + ", ".join(r["predicted_initial_ideal"]))
         lines.append("computed initial ideal:  " + ", ".join(r["computed_initial_ideal"]))
-        lines.append("initial ideals match: " + ("yes" if r["initial_ideals_match"] else "NO"))
+        lines.append("initial ideals match: " + _verdict(r["initial_ideals_match"]))
         lines.append(
             f"ballot sequences ({len(r['ballot_sequences'])}): "
             + ", ".join("(" + ",".join(map(str, s)) + ")" for s in r["ballot_sequences"])

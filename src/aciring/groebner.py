@@ -183,20 +183,22 @@ def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
     return True
 
 
-def ideal_equal(gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial]) -> bool:
-    """Equality of two homogeneous ideals by mutual membership of the generators.
+def ideal_equal(
+    gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial], *more: Sequence[Polynomial]
+) -> bool:
+    """Equality of two or more homogeneous ideals, each given by generators.
 
-    Each generator of one ideal is reduced against the other ideal's echelon
-    form in its own degree.
+    Each ideal gets one ring, and each list's generators are reduced against
+    the echelon forms of the next ideal's ring, cyclically: I_1 ⊆ I_2 ⊆ ... ⊆
+    I_k ⊆ I_1 makes them all equal.  For two ideals this is mutual membership.
     """
     from .quotient import QuotientRing  # quotient builds on this module
 
-    a = [g for g in gens_a if g]
-    b = [g for g in gens_b if g]
-    if not a or not b:
-        return not a and not b
-    ring_a, ring_b = QuotientRing(a), QuotientRing(b)
-    return not any(ring_b.nf(g) for g in a) and not any(ring_a.nf(g) for g in b)
+    lists = [[g for g in gens if g] for gens in (gens_a, gens_b, *more)]
+    if not all(lists):
+        return not any(lists)
+    rings = [QuotientRing(gens) for gens in lists]
+    return not any(rings[(k + 1) % len(rings)].nf(g) for k, gens in enumerate(lists) for g in gens)
 
 
 # ----------------------------------------------------------------------

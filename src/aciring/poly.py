@@ -323,13 +323,26 @@ def squared_variable_sum(n: int, field: Field = QQ) -> Polynomial:
 def symmetric_orbit(f: Polynomial) -> list[Polynomial]:
     """All distinct images of f under permutations of the variables.
 
-    Equality is exact (same term list); the orbit is returned sorted by the
-    term-list key so it is deterministic.
+    The orbit is the closure of f under the adjacent transpositions, which
+    generate S_n: each distinct image is permuted n - 1 times, where applying
+    all of S_n to f would take n! permutations.  Equality is exact (same term
+    list); the orbit is returned sorted by the term-list key so it is
+    deterministic.
     """
-    seen = {}
-    for sigma in itertools.permutations(range(f.n)):
-        g = f.permute(sigma)
-        seen.setdefault(g.terms, g)
+    swaps = []
+    for i in range(f.n - 1):
+        sigma = list(range(f.n))
+        sigma[i], sigma[i + 1] = i + 1, i
+        swaps.append(sigma)
+    seen = {f.terms: f}
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        for sigma in swaps:
+            h = g.permute(sigma)
+            if h.terms not in seen:
+                seen[h.terms] = h
+                todo.append(h)
     return [seen[k] for k in sorted(seen, key=lambda terms: [(revlex_key(m), str(c)) for m, c in terms])]
 
 

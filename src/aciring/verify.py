@@ -189,7 +189,7 @@ def _check_three_way(n: int, field):
     _, colon = gorenstein_presentation(n, field)
     orbit = G_from_orbit(n, field)
     dual = ann_of_form(n, field)
-    ok = ideal_equal(colon, orbit) and ideal_equal(orbit, dual) and ideal_equal(colon, dual)
+    ok = ideal_equal(colon, orbit, dual)
     return "three equal ideals", "equal" if ok else "different", ok
 
 

@@ -18,6 +18,7 @@ from aciring import cache, cli
 from aciring.cache import cache_dir
 from aciring.cli import main
 from aciring.errors import BoundTooSmall, DegreeCapExceeded, DimensionMismatch, FieldMismatch
+from aciring.resolution import BettiTable
 from aciring.verify import CheckRecord, VerificationReport
 
 R4_TABLE_TEXT = (
@@ -72,13 +73,17 @@ def test_hilbert_cross_check_text(capsys):
     )
 
 
-def test_hilbert_cross_check_mismatch_fails(capsys, monkeypatch):
-    import aciring.cli as cli
-
-    monkeypatch.setattr(cli, "_hilbert_by_quotient", lambda *a, **k: [1, 2, 3])
-    code, out, _ = run_cli(
-        capsys, "hilbert", "--ring", "R", "--n", "5", "--cross-check", "--no-cache"
-    )
+@pytest.mark.parametrize(
+    "name, wrong, argv",
+    [
+        ("_hilbert_by_quotient", lambda *a, **k: [1, 2, 3], ["hilbert", "--ring", "R", "--n", "5"]),
+        ("koszul_betti", lambda *a, **k: BettiTable(4, {(0, 0): 1, (1, 2): 4}), ["betti", "--ring", "R", "--n", "4"]),
+    ],
+    ids=["hilbert", "betti"],
+)
+def test_hilbert_cross_check_mismatch_fails(capsys, monkeypatch, name, wrong, argv):
+    monkeypatch.setattr(cli, name, wrong)
+    code, out, _ = run_cli(capsys, *argv, "--cross-check", "--no-cache")
     assert code == 1
     assert "match: NO" in out
 
@@ -97,6 +102,10 @@ def test_hilbert_csv_layout(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--ring", "R", "--n", "4", "--format", "csv")
     assert code == 0
     assert out == "n,i,value\n4,0,1\n4,1,4\n4,2,5\n"
+    # a cross-check writes the formula values, one block of rows per n
+    code, out, _ = run_cli(capsys, "hilbert", "--ring", "R", "--n-range", "2..3", "--cross-check", "--format", "csv")
+    assert code == 0
+    assert out == "n,i,value\n2,0,1\n2,1,2\n3,0,1\n3,1,3\n3,2,2\n"
 
 
 def test_hilbert_quotient_method_agrees(capsys):
@@ -118,9 +127,13 @@ def test_betti_text_table(capsys):
 def test_betti_cross_check(capsys):
     code, out, _ = run_cli(capsys, "betti", "--ring", "A", "--n", "3", "--cross-check")
     assert code == 0
-    assert out.startswith("A, n = 3\nformula:\n")
-    assert "koszul:" in out
-    assert out.rstrip().endswith("match: yes")
+    table = (
+        "       0  1  2  3\n"
+        "total: 1  3  3  1\n"
+        "    0: 1  2  1  -\n"
+        "    1: -  1  2  1\n"
+    )
+    assert out == f"A, n = 3\nformula:\n{table}koszul:\n{table}match: yes\n"
 
 
 def test_betti_json_matches_schema(capsys):
@@ -134,6 +147,10 @@ def test_betti_json_matches_schema(capsys):
 
 def test_betti_csv_single_n(capsys):
     code, out, _ = run_cli(capsys, "betti", "--ring", "R", "--n", "2", "--format", "csv")
+    assert code == 0
+    assert out == "i,j,value\n0,0,1\n1,2,3\n2,3,2\n"
+    # a cross-check writes the formula table
+    code, out, _ = run_cli(capsys, "betti", "--ring", "R", "--n", "2", "--cross-check", "--format", "csv")
     assert code == 0
     assert out == "i,j,value\n0,0,1\n1,2,3\n2,3,2\n"
 
@@ -171,6 +188,9 @@ def test_sequence_csv_and_schema(capsys):
     code, out, _ = run_cli(capsys, "sequence", "rho", "--n", "2", "--format", "csv")
     assert code == 0
     assert out == "n,k,value\n2,0,0\n2,1,3\n2,2,2\n"
+    code, out, _ = run_cli(capsys, "sequence", "rho", "--n-range", "2..4", "--format", "csv")
+    assert code == 0
+    assert out == "n,k,value\n2,0,0\n2,1,3\n2,2,2\n4,0,0\n4,1,0\n4,2,15\n4,3,16\n4,4,5\n"
     code, out, _ = run_cli(capsys, "sequence", "gamma", "--n", "4", "--format", "json")
     assert code == 0
     payload = json.loads(out)

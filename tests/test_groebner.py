@@ -158,7 +158,13 @@ def test_ideal_equal_reflexive_and_strict():
     J3 = squares_ideal(3, QQ)
     assert ideal_equal(J3, J3)
     # I has one extra quadric: dim J_2 = 3 < 4 = dim I_2
-    assert not ideal_equal(J3, aci_ideal(3, QQ))
+    I3 = aci_ideal(3, QQ)
+    assert not ideal_equal(J3, I3)
+    # three ideals: equal presentations agree, and the cycle J ⊆ I ⊆ I holds
+    # until its closing step I ⊆ J fails
+    assert ideal_equal(I3, I3[::-1], I3 + [J3[0] + J3[1]])
+    assert not ideal_equal(J3, I3, I3)
+    assert not ideal_equal(I3, J3, I3)
 
 
 def test_ideal_equal_colon_vs_orbit_n5():

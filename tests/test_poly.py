@@ -1,5 +1,6 @@
 """Polynomial arithmetic, the monomial order, orbits, and contraction."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from aciring.errors import DimensionMismatch
 from aciring.fields import GF, QQ
-from aciring.gorenstein import inverse_form
+from aciring.gorenstein import g_polynomial, inverse_form
 from aciring.poly import (
     DividedPowerForm,
     Polynomial,
@@ -188,6 +189,12 @@ def test_orbit_worked_examples():
     assert P("x2 - x1", 3) in orbit3 and P("x1 - x3", 3) in orbit3
     orbit4 = symmetric_orbit(P("x1*x3 - x2*x3", 4))
     assert len(orbit4) == 24  # all of S_4, pairwise exactly distinct
+    # the closure under adjacent transpositions is the image under all of S_n
+    for n in range(5, 8):
+        g = g_polynomial(n, QQ)
+        images = {g.permute(sigma) for sigma in itertools.permutations(range(n))}
+        order = sorted(images, key=lambda f: [(revlex_key(m), str(c)) for m, c in f.terms])
+        assert symmetric_orbit(g) == order
 
 
 def test_orbit_closed_under_transpositions():

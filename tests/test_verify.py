@@ -69,6 +69,10 @@ def test_run_suite_builds_each_named_ring_and_presentation_once(monkeypatch):
     assert run_suite("all", list(range(2, 8))).passed
     assert named == {(label, n, 0): 1 for label in "PRA" for n in range(2, 8)}
     assert colons == {n: 1 for n in range(2, 8)}
+    # the 18 named rings, one ring per route to G per n (the three-way check's
+    # cycle of memberships), and one each for groebner_basis and
+    # _lefschetz_by_ranks per n
+    assert len(built) == 18 + 18 + 6 + 6
     # nothing built inside the run outlives it
     gc.collect()
     assert built and not [ref for ref in built if ref() is not None]
