@@ -2,7 +2,9 @@
 
 Rational coefficients are plain ``fractions.Fraction`` values; prime-field
 coefficients are ints in ``range(p)``.  A ``Field`` instance bundles the
-arithmetic so polynomial and matrix code can stay field-agnostic.
+arithmetic so polynomial and matrix code can stay field-agnostic.  An int
+or a ``Fraction`` from outside becomes a coefficient only through
+``Field.coerce``, the one rule for entering the field.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import index
 
 from .errors import FieldMismatch
 
@@ -47,13 +50,16 @@ class Field:
     def one(self):
         return 1 if self.characteristic else Fraction(1)
 
-    def from_int(self, k: int):
-        if self.characteristic:
-            return k % self.characteristic
-        return Fraction(k)
+    def coerce(self, a):
+        """An int or a ``Fraction`` as an element of this field; TypeError otherwise.
 
-    def is_zero(self, a) -> bool:
-        return a == 0
+        Over GF(p) an int is reduced mod p and a fraction maps through the
+        inverse of its denominator, so p dividing it raises ZeroDivisionError.
+        """
+        p = self.characteristic
+        if isinstance(a, Fraction):
+            return self.div(a.numerator, a.denominator % p) if p else a
+        return index(a) % p if p else Fraction(index(a))
 
     # -- arithmetic ---------------------------------------------------
     def add(self, a, b):
@@ -88,16 +94,8 @@ class Field:
         return self.mul(a, self.inv(b))
 
     # -- misc ---------------------------------------------------------
-    def coeff_str(self, a) -> str:
-        return str(a)
-
     def parse_coeff(self, s: str):
-        if "/" in s:
-            num, den = s.split("/")
-            if self.characteristic:
-                return self.div(int(num) % self.characteristic, int(den) % self.characteristic)
-            return Fraction(int(num), int(den))
-        return self.from_int(int(s))
+        return self.coerce(Fraction(s))
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.characteristic == self.characteristic

@@ -179,7 +179,7 @@ def ann_of_form(n: int, field: Field = QQ) -> list[Polynomial]:
                 w = [field.zero()] * len(cols)
                 for m, c in zip(prev_cols, v):
                     j = idx.get(m[:i] + (m[i] + 1,) + m[i + 1:])
-                    if j is not None and not field.is_zero(c):
+                    if j is not None and c != 0:
                         w[j] = field.add(w[j], c)
                 span.insert(w)
         ker = _contraction_kernel(n, field, F, cols)
@@ -187,8 +187,7 @@ def ann_of_form(n: int, field: Field = QQ) -> list[Polynomial]:
             # nothing lies below degree one, so its kernel basis stays as it is
             residue = v if d == 1 else span.insert(list(v))
             if residue is not None:
-                terms = [(m, c) for m, c in zip(cols, residue) if not field.is_zero(c)]
-                gens.append(Polynomial(n, field, terms).monic())
+                gens.append(Polynomial(n, field, zip(cols, residue)).monic())
         prev_cols, prev_ker = cols, ker
     return gens
 

@@ -39,7 +39,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     by any leading monomial, so against a Gröbner basis it is the canonical
     representative.
     """
-    divisors = list(basis.polys) if isinstance(basis, GroebnerBasis) else [g for g in basis if g]
+    divisors = [g for g in basis if g]
     field = f.field
     rem_terms = []
     h = f
@@ -52,7 +52,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 break
         if hit is None:
             rem_terms.append((lm, lc))
-            h = h - Polynomial.monomial(h.n, field, lm, lc)
+            h = Polynomial(h.n, field, h.terms[1:], _sorted=True)
         else:
             c = field.div(lc, hit.lc)
             h = h - hit.term_mul(mono_div(lm, hit.lm), c)

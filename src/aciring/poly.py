@@ -1,10 +1,12 @@
 """Multivariate polynomial arithmetic over an exact coefficient field.
 
-Monomials are exponent tuples.  A ``Polynomial`` keeps its terms as an
-association list sorted in descending graded reverse lexicographic order,
-so the leading term is ``terms[0]`` and merges during reduction are linear.
-Divided-power forms (the contraction side of Macaulay duality) get their own
-small class with ``y``-variables.
+Monomials are exponent tuples.  A ``Polynomial`` and a ``DividedPowerForm``
+(the contraction side of Macaulay duality, in ``y``-variables) share one term
+list: an association list sorted in descending graded reverse lexicographic
+order, so the leading term is ``terms[0]`` and merges during reduction are
+linear.  Every constructor maps its coefficients into the field with
+``Field.coerce`` and merges its terms in one place, so each stored
+coefficient is canonical and nonzero.
 """
 
 from __future__ import annotations
@@ -54,23 +56,6 @@ def revlex_key(m: Mono):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def revlex_compare(a: Mono, b: Mono) -> int:
-    """Return -1, 0 or 1 as a <, =, > b in graded reverse lex order.
-
-    Higher total degree wins; within a degree the monomial with the smaller
-    exponent on the last variable where they differ is the larger one.
-    """
-    if len(a) != len(b):
-        raise DimensionMismatch(f"monomials in {len(a)} and {len(b)} variables")
-    da, db = sum(a), sum(b)
-    if da != db:
-        return -1 if da < db else 1
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y:
-            return 1 if x < y else -1
-    return 0
-
-
 def monomials_of_degree(n: int, d: int) -> Iterator[Mono]:
     """All exponent tuples of total degree d in n variables."""
     if d == 0:
@@ -99,27 +84,64 @@ def squarefree_monomials(n: int, d: int) -> list[Mono]:
 # polynomials
 # ----------------------------------------------------------------------
 
-class Polynomial:
-    """A polynomial with terms kept sorted in descending grevlex order."""
+class _TermList:
+    """The n, field and sorted terms that polynomials and dual forms share.
+
+    The unsorted path is the one place terms are merged: each coefficient
+    enters the field through ``field.coerce``, duplicates are summed, zeros
+    dropped and the monomials sorted.  ``_sorted=True`` stores the terms as
+    given, for internal callers whose terms come out of field operations
+    already canonical, nonzero and in order.
+    """
 
     __slots__ = ("n", "field", "terms")
 
-    def __init__(self, n: int, field: Field, terms: Sequence[tuple[Mono, object]], _sorted=False):
+    def __init__(self, n: int, field: Field, terms: Iterable[tuple[Mono, object]], _sorted=False):
         self.n = n
         self.field = field
-        if not _sorted:
-            acc = {}
-            for m, c in terms:
-                if len(m) != n:
-                    raise DimensionMismatch(f"monomial {m} in a {n}-variable ring")
-                cur = acc.get(m)
-                c = field.add(cur, c) if cur is not None else c
-                acc[m] = c
-            items = [(m, c) for m, c in acc.items() if c != 0]
-            items.sort(key=lambda t: revlex_key(t[0]), reverse=True)
-            self.terms = tuple(items)
-        else:
+        if _sorted:
             self.terms = tuple(terms)
+            return
+        coerce, add = field.coerce, field.add
+        acc: dict = {}
+        for m, c in terms:
+            if len(m) != n:
+                raise DimensionMismatch(f"monomial {m} in {n} variables")
+            c = coerce(c)
+            cur = acc.get(m)
+            acc[m] = c if cur is None else add(cur, c)
+        monos = sorted((m for m, c in acc.items() if c != 0), key=revlex_key, reverse=True)
+        self.terms = tuple((m, acc[m]) for m in monos)
+
+    @property
+    def degree(self) -> int:
+        """Total degree (of the leading term); -1 for zero."""
+        return sum(self.terms[0][0]) if self.terms else -1
+
+    def _check(self, other: "_TermList"):
+        if self.n != other.n:
+            raise DimensionMismatch(f"{self.n} vs {other.n} variables")
+        check_same_field(self.field, other.field)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.n == other.n
+            and self.field == other.field
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.field.characteristic, self.terms))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+class Polynomial(_TermList):
+    """A polynomial with terms kept sorted in descending grevlex order."""
+
+    __slots__ = ()
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -128,9 +150,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, field: Field, c) -> "Polynomial":
-        if c == 0:
-            return cls.zero(n, field)
-        return cls(n, field, ((mono_one(n), c),), _sorted=True)
+        return cls(n, field, ((mono_one(n), c),))
 
     @classmethod
     def variable(cls, n: int, field: Field, i: int) -> "Polynomial":
@@ -140,8 +160,8 @@ class Polynomial:
         return cls(n, field, ((tuple(e), field.one()),), _sorted=True)
 
     @classmethod
-    def monomial(cls, n: int, field: Field, m: Mono, c=None) -> "Polynomial":
-        return cls(n, field, ((tuple(m), field.one() if c is None else c),), _sorted=True)
+    def monomial(cls, n: int, field: Field, m: Mono, c=1) -> "Polynomial":
+        return cls(n, field, ((tuple(m), c),))
 
     # -- term access ------------------------------------------------------
     def lt(self):
@@ -156,17 +176,7 @@ class Polynomial:
     def lc(self):
         return self.terms[0][1]
 
-    @property
-    def degree(self) -> int:
-        """Total degree (of the leading term); -1 for the zero polynomial."""
-        return sum(self.terms[0][0]) if self.terms else -1
-
     # -- arithmetic -------------------------------------------------------
-    def _check(self, other: "Polynomial"):
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} vs {other.n} variables")
-        check_same_field(self.field, other.field)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         return Polynomial(self.n, self.field, _merge(self.field, self.terms, other.terms, 1), _sorted=True)
@@ -180,6 +190,7 @@ class Polynomial:
         return Polynomial(self.n, self.field, tuple((m, neg(c)) for m, c in self.terms), _sorted=True)
 
     def scale(self, c) -> "Polynomial":
+        c = self.field.coerce(c)
         if c == 0:
             return Polynomial.zero(self.n, self.field)
         mul = self.field.mul
@@ -196,23 +207,11 @@ class Polynomial:
 
     def mul(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        field = self.field
-        acc: dict = {}
-        short, long_ = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        for m1, c1 in short:
-            for m2, c2 in long_:
-                m = mono_mul(m1, m2)
-                c = field.mul(c1, c2)
-                cur = acc.get(m)
-                acc[m] = c if cur is None else field.add(cur, c)
-        items = [(m, c) for m, c in acc.items() if c != 0]
-        items.sort(key=lambda t: revlex_key(t[0]), reverse=True)
-        return Polynomial(self.n, field, items, _sorted=True)
+        products = [(mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms for m2, c2 in other.terms]
+        return Polynomial(self.n, self.field, products)
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return self.mul(other)
-        return self.scale(self.field.from_int(other) if isinstance(other, int) else other)
+        return self.mul(other) if isinstance(other, Polynomial) else self.scale(other)
 
     __rmul__ = __mul__
 
@@ -245,21 +244,7 @@ class Polynomial:
             out.append((tuple(e), c))
         return Polynomial(self.n, self.field, out)
 
-    # -- dunder plumbing ----------------------------------------------------
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.n == other.n
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.field.characteristic, self.terms))
-
-    def __bool__(self):
-        return bool(self.terms)
-
+    # -- text -------------------------------------------------------------
     def __str__(self):
         return format_poly(self)
 
@@ -368,7 +353,7 @@ def _format_terms(terms, field: Field, var: str) -> str:
         mono = _format_mono(m, var)
         neg = _coeff_is_negative(c, field)
         mag = field.neg(c) if neg else c
-        body = mono if (mag == 1 and mono) else (field.coeff_str(mag) if not mono else f"{field.coeff_str(mag)}*{mono}")
+        body = mono if (mag == 1 and mono) else (str(mag) if not mono else f"{mag}*{mono}")
         if k == 0:
             chunks.append(("-" if neg else "") + body)
         else:
@@ -455,52 +440,18 @@ def parse_poly(text: str, n: int, field: Field = QQ, var: str = "x") -> Polynomi
 # divided-power forms and contraction
 # ----------------------------------------------------------------------
 
-class DividedPowerForm:
+class DividedPowerForm(_TermList):
     """A dual form in divided-power variables y1..yn.
 
-    Stored exactly like a polynomial (sorted term list); the interesting
-    operation is contraction by ring elements, see :func:`contract`.
+    Stored in the term list a polynomial uses, but never equal to one; the
+    interesting operation is contraction by ring elements, see :func:`contract`.
     """
 
-    __slots__ = ("n", "field", "terms")
-
-    def __init__(self, n: int, field: Field, terms: Iterable[tuple[Mono, object]]):
-        acc: dict = {}
-        for m, c in terms:
-            if len(m) != n:
-                raise DimensionMismatch(f"form monomial {m} in {n} variables")
-            cur = acc.get(m)
-            acc[m] = field.add(cur, c) if cur is not None else c
-        items = [(m, c) for m, c in acc.items() if c != 0]
-        items.sort(key=lambda t: revlex_key(t[0]), reverse=True)
-        self.n = n
-        self.field = field
-        self.terms = tuple(items)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.terms[0][0]) if self.terms else -1
+    __slots__ = ()
 
     def evaluate_at_ones(self):
         """Sum of the coefficients, i.e. the value at y1 = ... = yn = 1."""
-        total = self.field.zero()
-        for _, c in self.terms:
-            total = self.field.add(total, c)
-        return total
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DividedPowerForm)
-            and self.n == other.n
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(("DPF", self.n, self.field.characteristic, self.terms))
-
-    def __bool__(self):
-        return bool(self.terms)
+        return self.field.coerce(sum(c for _, c in self.terms))
 
     def __str__(self):
         return _format_terms(self.terms, self.field, "y")
@@ -520,16 +471,6 @@ def contract(f: Polynomial, form: DividedPowerForm) -> DividedPowerForm:
     On monomials: x^d acts on y^(e) giving y^(e-d) when e-d is nonnegative
     in every coordinate, and 0 otherwise; extended bilinearly.
     """
-    if f.n != form.n:
-        raise DimensionMismatch(f"{f.n} vs {form.n} variables")
-    check_same_field(f.field, form.field)
-    field = f.field
-    acc: dict = {}
-    for d, c in f.terms:
-        for e, k in form.terms:
-            if all(ei >= di for di, ei in zip(d, e)):
-                m = tuple(ei - di for di, ei in zip(d, e))
-                v = field.mul(c, k)
-                cur = acc.get(m)
-                acc[m] = field.add(cur, v) if cur is not None else v
-    return DividedPowerForm(form.n, field, acc.items())
+    f._check(form)
+    terms = [(mono_div(e, d), c * k) for d, c in f.terms for e, k in form.terms if mono_divides(d, e)]
+    return DividedPowerForm(form.n, form.field, terms)

@@ -111,7 +111,7 @@ def _ideals(n, field):
 
 
 def _random_form(rng, n, field, d):
-    terms = [(m, field.from_int(rng.randint(-3, 3))) for m in monomials_of_degree(n, d) if rng.random() < 0.6]
+    terms = [(m, field.coerce(rng.randint(-3, 3))) for m in monomials_of_degree(n, d) if rng.random() < 0.6]
     return Polynomial(n, field, terms)
 
 

@@ -430,3 +430,25 @@ def test_only_linalg_knows_the_matrix_format():
             ):
                 offenders.append(f"{path.name}:{node.lineno} transposes with zip(*...)")
     assert offenders == []
+
+
+def test_only_poly_stores_terms_unchecked():
+    # a term list built with _sorted=True is stored without coercing, merging
+    # or sorting; outside poly only the two reductions whose terms come out of
+    # field operations may build one, every other module goes through the
+    # coercing constructor
+    allowed = {("quotient.py", "nf"), ("groebner.py", "normal_form")}
+    offenders = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first, so an inner function overrides its outer one
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and any(k.arg == "_sorted" for k in node.keywords):
+                if (path.name, owner.get(node)) not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno} stores terms with _sorted")
+    assert offenders == []

@@ -21,6 +21,7 @@ from aciring import (
     annihilator,
     exact_zero_divisor_check,
     hilbert_function,
+    ideal_equal,
     max_rank_check,
     named_quotient,
     primed_aci_ideal,
@@ -57,6 +58,17 @@ def test_build_quotient_dimension_examples():
     assert hilbert_function(ring("R", 5)) == [1, 5, 9, 5]
     # the n=2 Gorenstein quotient collapses to the ground field
     assert hilbert_function(ring("A", 2)) == [1]
+
+
+def test_generators_that_vanish_in_the_field_are_dropped():
+    # 7*x1 is zero over GF(7) and 0*x1 over QQ, so each ring is the squares'
+    F7 = GF(7)
+    squares = squares_ideal(2, F7)
+    seven_x1 = Polynomial(2, F7, [((1, 0), 7)])
+    assert QuotientRing(squares + [seven_x1]).hilbert_series() == [1, 2, 1]
+    assert ideal_equal(squares + [seven_x1], squares)
+    zero_x1 = Polynomial.monomial(2, QQ, (1, 0), 0)
+    assert QuotientRing(squares_ideal(2, QQ) + [zero_x1]).hilbert_series() == [1, 2, 1]
 
 
 def test_hilbert_function_literals():
