@@ -198,6 +198,9 @@ class Polynomial(_TermList):
 
     def term_mul(self, m: Mono, c) -> "Polynomial":
         """Multiply by the single term c * x^m.  Preserves the sort order."""
+        c = self.field.coerce(c)
+        if c == 0:
+            return Polynomial.zero(self.n, self.field)
         mul = self.field.mul
         return Polynomial(
             self.n, self.field,

@@ -5,7 +5,11 @@ field over the base: the Koszul complex when the base is the polynomial
 ring, and its extension by divided-power generators when the base is the
 polynomial ring modulo squares of some of the variables (those bases are
 where our modules live; the resolution stays linear and minimal).  Betti
-numbers fall out of ranks of the differentials.
+numbers fall out of ranks of the differentials.  Over the polynomial ring, a
+quotient ring whose socle is one-dimensional in its top degree s (so A, not
+R) is Gorenstein and its Koszul complex is self-dual: slice (i, j) has the
+rank of slice (n - i + 1, n + s - j), and only the cheaper one of each pair
+is ranked.  The route checks the socle itself before it pairs anything.
 
 Route two never sees the first construction: on coordinate vectors over the
 base's standard monomials, it extracts minimal generators degree by degree,
@@ -251,6 +255,15 @@ def ci_resolution_betti(
 
     With U empty this is the resolution over the polynomial ring itself and
     the full table is finite; otherwise the table is cut at the window.
+
+    With U empty, a ``QuotientRing`` whose socle is one-dimensional and sits
+    in its top degree s is Artinian Gorenstein, so its Koszul complex is
+    self-dual (Bruns–Herzog, *Cohen–Macaulay Rings*, §1.6 and ch. 3): the
+    slice (i, j) has the rank of the slice (n - i + 1, n + s - j).  Once
+    ``socle_dimensions`` has certified that, only the member of each pair
+    with the lower source degree j - i (the lower i on a tie) is ranked, and
+    the other takes its rank.  Every other module, and every nonempty U,
+    has each slice ranked.
     """
     n = module.n
     field = module.field
@@ -266,6 +279,7 @@ def ci_resolution_betti(
         max_j = max_i + top
 
     windowed = bool(U) or max_j < max_i + top
+    self_dual = not U and isinstance(module, QuotientRing) and module.socle_dimensions() == [0] * top + [1]
     rank_cache: dict[tuple[int, int], int] = {}
 
     def rank_d(i: int, j: int) -> int:
@@ -274,7 +288,11 @@ def ci_resolution_betti(
             return 0
         key = (i, j)
         if key not in rank_cache:
-            rank_cache[key] = sparse_rank(*ci_differential(module, U, i, j), field)
+            dual_i, dual_j = n - i + 1, n + top - j
+            if self_dual and (dual_j - dual_i, dual_i) < (j - i, i):
+                rank_cache[key] = rank_d(dual_i, dual_j)
+            else:
+                rank_cache[key] = sparse_rank(*ci_differential(module, U, i, j), field)
         return rank_cache[key]
 
     entries: dict = {}

@@ -29,3 +29,16 @@ def test_field_bounds_the_prime():
     assert GF(MAX_PRIME).characteristic == MAX_PRIME
     # the largest prime p with (p-1)^2 < 2^53; the next prime is 94906297
     assert MAX_PRIME == 94906249 and (MAX_PRIME - 1) ** 2 < 2**53 <= (94906297 - 1) ** 2
+
+
+def test_inverse_reduces_before_refusing_zero():
+    F7 = GF(7)
+    for zero in (0, 7, 14, -7):
+        with pytest.raises(ZeroDivisionError):
+            F7.inv(zero)
+    with pytest.raises(ZeroDivisionError):
+        F7.div(3, 14)
+    assert F7.inv(8) == F7.inv(1) == 1
+    assert F7.inv(-1) == 6 and F7.div(3, 9) == 5
+    with pytest.raises(ZeroDivisionError):
+        Field(0).inv(0)

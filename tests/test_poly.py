@@ -165,6 +165,17 @@ def test_terms_stay_sorted_and_nonzero():
     assert all(c != 0 for _, c in f.terms)
 
 
+def test_term_mul_maps_its_coefficient_into_the_field():
+    F7 = GF(7)
+    x1 = Polynomial.variable(2, F7, 0)
+    killed = x1.term_mul((1, 0), 7)
+    assert not killed and killed.terms == () and killed.degree == -1
+    assert x1.term_mul((0, 1), 9).terms == (((1, 1), 2),)
+    assert x1.term_mul((0, 1), -1) == Polynomial(2, F7, [((1, 1), 6)])
+    assert not P("x1 + x2", 2).term_mul((1, 0), 0)
+    assert P("x1", 2).term_mul((0, 1), Fraction(1, 2)) == P("1/2*x1*x2", 2)
+
+
 def test_exponents_have_no_cap():
     f = P("x1^2", 2)
     assert f.mul(f.mul(f)).lm == (6, 0)
