@@ -6,7 +6,7 @@ class AciringError(Exception):
 
 
 class DimensionMismatch(AciringError, ValueError):
-    """Operands live in polynomial rings with different variable counts."""
+    """Operands of different sizes: variable counts, or a vector and its row space."""
 
 
 class FieldMismatch(AciringError, ValueError):

@@ -13,8 +13,13 @@ Ranks go through ``sparse_rank``: structured
 Gaussian elimination (Faugere-Lachartre, PASCO 2010) in rounds of
 independent pivots ranked by Markowitz cost (Management Sci. 3, 1957), on
 flat numpy arrays.  Over QQ the pivots are the +-1 entries and the
-arithmetic is int64; over GF(p) any nonzero pivots, until the rest is
-dense.  What is left goes to the dense kernel as one tall block:
+arithmetic is int64, one pass of local minima per round.  Over GF(p) any
+nonzero entry may pivot, and each round repeats the pass on the entries
+its pivots leave free, under the cost of the first pass's costliest pivot,
+until none is left: a maximal set of compatible pivots in Markowitz order
+(Davis-Yew, SIAM J. Matrix Anal. Appl. 11, 1990).  Its product terms are
+merged by sorting one packed int64 array in place.  The rounds go on until
+the rest is dense.  What is left goes to the dense kernel as one tall block:
 fraction-free (Bareiss) elimination over QQ, and over GF(p) ``gf_rank``, a
 row-recursive reduced echelon form in place whose work is ``gf_matmul``
 products of the rank's size, with leaves of at most 8 rows (Dumas-Giorgi-
@@ -31,6 +36,7 @@ from math import gcd, lcm
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .fields import MAX_PRIME, Field, is_prime
 
 # ----------------------------------------------------------------------
@@ -122,13 +128,20 @@ def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field) -> int:
     round ranks the admissible entries (any nonzero over GF(p), only +-1 over
     QQ) by Markowitz cost, (row length - 1) * (column length - 1), ties broken
     by entry index, and pivots on every entry that is cheapest over each row
-    and column it meets.  Those pivots span a diagonal block A of [A B; C D],
-    so one product step replaces the rest by D - C A^-1 B.  Singletons cost 0
-    and go first.  Over GF(p) the values are reduced mod p first, and the
-    rounds stop once the rest is dense (``_DENSE_SHARE``); over QQ, rows of
-    ``Fraction``s are scaled to integers, and the rounds stop when no +-1 is
-    left or an entry passes ``_QQ_ENTRY_BOUND``.  What is left goes to the
-    field's dense kernel, ``gf_rank`` or ``qq_rank``, longer side as rows.
+    and column it meets.  Over GF(p) the round then drops the entries those
+    pivots block (in a row that meets a pivot column, or a column that meets
+    a pivot row) and repeats that pass on the rest, among the entries that
+    cost no more than the first pass's costliest pivot, until a pass finds
+    none.  The ceiling holds back the fill of costlier pivots, which would
+    grow the dense cores.  The pivots span a diagonal block A of
+    [A B; C D], so one product step replaces the rest by D - C A^-1 B; over
+    GF(p) it merges the terms by sorting key * p + value in place.
+    Singletons cost 0 and go first.  Over GF(p) the values are reduced mod p
+    first, and the rounds stop once the rest is dense (``_DENSE_SHARE``);
+    over QQ, rows of ``Fraction``s are scaled to integers, and the rounds
+    stop when no +-1 is left or an entry passes ``_QQ_ENTRY_BOUND``.  What is
+    left goes to the field's dense kernel, ``gf_rank`` or ``qq_rank``, longer
+    side as rows.
     """
     p = field.characteristic
     if not p:
@@ -185,9 +198,14 @@ def _coo(row_entries: dict, nrows: int, ncols: int, p: int):
 def _round_pivots(r, c, v, nrows: int, ncols: int, p: int):
     """The entries one round pivots on, or None where the rounds stop.
 
-    The admissible entries that are cheapest, by (Markowitz cost, index),
-    over every row and column they meet.  No two of them share a row or a
-    column, and no pivot's row meets another pivot's column.
+    First pass: the admissible entries that are cheapest, by (Markowitz
+    cost, index), over every row and column they meet.  Over GF(p) more
+    passes follow.  Each drops the entries that the pivots so far block:
+    those in a row that meets a pivot column or in a column that meets a
+    pivot row.  It then runs the same search on what is left, among the
+    entries no costlier than the first pass's costliest pivot, until a pass
+    finds nothing.  No two pivots share a row or a column, and no pivot's
+    row meets another pivot's column.
     """
     row_len = np.bincount(r, minlength=nrows)
     col_len = np.bincount(c, minlength=ncols)
@@ -206,6 +224,37 @@ def _round_pivots(r, c, v, nrows: int, ncols: int, p: int):
         return None
     # unique keys in (cost, index) order; the cap only matters past 2^62 / nnz
     key = np.minimum(cost, (1 << 62) // adm.size) * adm.size + np.arange(adm.size)
+    first = _cheapest(key, ra, ca, r, c, nrows, ncols)
+    piv = adm[first]
+    if not p:
+        return piv[:_ROUND_PIVOTS]
+    # over GF(p) adm is every entry, so key and cost are indexed by entry
+    ceiling = cost[first].max()
+    passes = [piv]
+    row_out = np.zeros(nrows, dtype=bool)
+    col_out = np.zeros(ncols, dtype=bool)
+    live = adm
+    while piv.size:
+        pivot_row = np.zeros(nrows, dtype=bool)
+        pivot_row[r[piv]] = True
+        pivot_col = np.zeros(ncols, dtype=bool)
+        pivot_col[c[piv]] = True
+        rl, cl = r[live], c[live]
+        row_out[rl[pivot_col[cl]]] = True
+        col_out[cl[pivot_row[rl]]] = True
+        live = live[~row_out[rl] & ~col_out[cl]]
+        cand = live[cost[live] <= ceiling]
+        piv = cand[_cheapest(key[cand], r[cand], c[cand], r[live], c[live], nrows, ncols)]
+        passes.append(piv)
+    return np.concatenate(passes)
+
+
+def _cheapest(key, ra, ca, r, c, nrows: int, ncols: int):
+    """Mask of the candidates (ra, ca) whose key is the least over every row and column they meet.
+
+    A row meets a column where one of the entries (r, c) lies; the
+    candidates are among those entries.
+    """
     top = np.iinfo(np.int64).max
     row_min = np.full(nrows, top)
     np.minimum.at(row_min, ra, key)
@@ -217,18 +266,28 @@ def _round_pivots(r, c, v, nrows: int, ncols: int, p: int):
     np.minimum.at(col_of_rows, c, row_min[r])
     row_of_cols = np.full(nrows, top)
     np.minimum.at(row_of_cols, r, col_min[c])
-    return adm[(key == col_of_rows[ca]) & (key == row_of_cols[ra])][:_ROUND_PIVOTS]
+    return (key == col_of_rows[ca]) & (key == row_of_cols[ra])
 
 
 def _schur_step(r, c, v, piv, nrows: int, ncols: int, p: int):
     """The entries of D - C A^-1 B, where A is the diagonal block at the entries ``piv``.
 
     Input and output are row-major (row, col, value) arrays; A's rows and
-    columns are dropped.
+    columns are dropped.  Over GF(p) the terms are merged by sorting one
+    packed int64 array of key * p + value in place, which holds less memory
+    than an argsort and two gathers; a key past 2^63 / p falls back to those.
     """
     keys, vals = _complement_terms(r, c, v, piv, nrows, ncols, p)
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
+    if p and nrows * ncols * p <= 1 << 63:
+        keys *= p
+        keys += vals
+        del vals
+        keys.sort()
+        vals = keys % p
+        keys //= p
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], vals[order]
     first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     vals = np.add.reduceat(vals, first) if vals.size else vals
     if p:
@@ -241,9 +300,10 @@ def _schur_step(r, c, v, piv, nrows: int, ncols: int, p: int):
 def _complement_terms(r, c, v, piv, nrows: int, ncols: int, p: int):
     """The entries of D and of -C A^-1 B as (row * ncols + col, value), unmerged.
 
-    Over GF(p) each product is reduced mod p, so a sum of them stays below
-    (number of pivots + 1) * p.  Apart from the merge so that the gather's
-    temporaries are freed before the sort, which keeps peak memory down.
+    Over GF(p) every value is in range(p): each product is reduced mod p, so
+    a sum of them stays below (number of pivots + 1) * p.  Apart from the
+    merge so that the gather's temporaries are freed before the sort, which
+    keeps peak memory down.
     """
     prow = np.zeros(nrows, dtype=bool)
     prow[r[piv]] = True
@@ -259,10 +319,10 @@ def _complement_terms(r, c, v, piv, nrows: int, ncols: int, p: int):
     b = np.flatnonzero(in_prow & ~in_pcol)
     b_len = np.bincount(r[b], minlength=nrows)
     b_start = np.cumsum(b_len) - b_len
-    # C: the pivot columns outside the pivot rows; C[e] A^-1 times row B of its pivot
+    # C: the pivot columns outside the pivot rows; -C[e] A^-1 times row B of its pivot
     ce = np.flatnonzero(~in_prow & in_pcol)
     cp = row_of_col[c[ce]]
-    mult = v[ce] * inv[cp]
+    mult = -v[ce] * inv[cp]
     if p:
         mult %= p
     reps = b_len[cp]
@@ -273,7 +333,7 @@ def _complement_terms(r, c, v, piv, nrows: int, ncols: int, p: int):
         prod %= p
     d = np.flatnonzero(~in_prow & ~in_pcol)
     keys = np.concatenate((r[d].astype(np.int64) * ncols + c[d], r[ce][src].astype(np.int64) * ncols + c[pos]))
-    return keys, np.concatenate((v[d], -prod))
+    return keys, np.concatenate((v[d], prod))
 
 
 def _scale_sparse_rows_to_int(rows: dict) -> None:
@@ -407,11 +467,15 @@ def gf_rank(A: np.ndarray, p: int) -> int:
     so far as inner dimension.  Every update is reduced at once, so entries
     stay in range(p) and exactness is gf_matmul's chunk rule alone.
     ``sparse_rank`` hands its rest over tall.  A p that is not prime, or
-    above ``fields.MAX_PRIME``, is refused.
+    above ``fields.MAX_PRIME``, is refused, and so is a block that is not
+    int64: it is factored in place, so it cannot be cast, and a narrower
+    type would wrap the products.
     """
     _check_modulus(p)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if A.dtype != np.int64:
+        raise TypeError(f"gf_rank factors an int64 block in place, not {A.dtype}")
     A %= p
     return len(_echelon(A, p))
 
@@ -490,7 +554,12 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec) -> list:
-        """Fully reduce a vector against the current rows (no insertion)."""
+        """Fully reduce a vector against the current rows (no insertion).
+
+        A vector whose length is not ``ncols`` raises ``DimensionMismatch``.
+        """
+        if len(vec) != self.ncols:
+            raise DimensionMismatch(f"a vector of length {len(vec)} in a row space of {self.ncols} columns")
         p = self.field.characteristic
         v = [x % p for x in vec] if p else list(vec)
         for row, j in zip(self.rows, self.pivots):

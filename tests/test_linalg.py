@@ -3,13 +3,16 @@
 import ast
 import random
 import tracemalloc
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aciring import linalg
+from aciring.errors import DimensionMismatch
 from aciring.fields import GF, MAX_PRIME, QQ
 from aciring.linalg import (
     Echelon,
@@ -21,6 +24,7 @@ from aciring.linalg import (
     qq_rank,
     sparse_rank,
 )
+from aciring.resolution import koszul_betti, named_quotient
 
 from _oracle import fraction_det, fraction_rank, gf_rank_slow
 
@@ -129,6 +133,18 @@ def test_gf_kernels_refuse_a_modulus_that_is_not_prime():
         gf_matmul(A, A.T.copy(), 1)
     # a product mod a composite is well defined
     assert gf_matmul(A, A.T.copy(), 4).tolist() == [[1, 2], [2, 2]]
+
+
+def test_gf_rank_refuses_blocks_that_are_not_int64():
+    # gf_rank factors in place, so it cannot cast: an int32 block at
+    # p = 1 000 003 wrapped its products and read rank 12 for this matrix of
+    # rank 9, and a uint32 block raised a numpy casting error
+    p = 1_000_003
+    A = np.random.default_rng(22).integers(0, p, size=(12, 9))
+    assert gf_rank(A.copy(), p) == gf_rank_slow(A.tolist(), p) == 9
+    for dtype in (np.int32, np.uint32, np.float64):
+        with pytest.raises(TypeError, match="int64"):
+            gf_rank(A.astype(dtype), p)
 
 
 def _low_rank(rng, nrows, ncols, k, p):
@@ -258,6 +274,141 @@ def test_sparse_rank_pivot_pass_matches_oracle(monkeypatch):
     assert all(rows >= cols for rows, cols in handed_off), handed_off
 
 
+def _check_round(r, c, v, piv, p):
+    """Assert that ``piv`` is one round's pivot set on the live entries (r, c, v).
+
+    Recomputed entry by entry: the first pass, the admissible entries
+    cheapest by (Markowitz cost, index) over every row and column they meet,
+    is all of a QQ round and part of a GF(p) round.  The pivots span a
+    diagonal block.  Over GF(p) none costs more than the first pass's
+    costliest, and the set is maximal under that ceiling: every entry
+    outside the rows that meet a pivot column and the columns that meet a
+    pivot row costs more.
+    """
+    rows, cols, vals = r.tolist(), c.tolist(), v.tolist()
+    row_len, col_len = Counter(rows), Counter(cols)
+    cost = [(row_len[i] - 1) * (col_len[j] - 1) for i, j in zip(rows, cols)]
+    adm = [e for e, x in enumerate(vals) if (x if p else abs(x) == 1)]
+    row_min, col_min = {}, {}
+    for e in adm:
+        row_min[rows[e]] = min(row_min.get(rows[e], (cost[e], e)), (cost[e], e))
+        col_min[cols[e]] = min(col_min.get(cols[e], (cost[e], e)), (cost[e], e))
+    rows_of_col, cols_of_row = defaultdict(set), defaultdict(set)
+    for i, j in zip(rows, cols):
+        rows_of_col[j].add(i)
+        cols_of_row[i].add(j)
+    first = {
+        e for e in adm
+        if all((cost[e], e) <= row_min.get(i, (cost[e], e)) for i in rows_of_col[cols[e]])
+        and all((cost[e], e) <= col_min.get(j, (cost[e], e)) for j in cols_of_row[rows[e]])
+    }
+    taken = piv.tolist()
+    if not p:
+        assert taken == sorted(first)
+    assert first <= set(taken) and set(taken) <= set(adm)
+    pivot_rows, pivot_cols = {rows[e] for e in taken}, {cols[e] for e in taken}
+    assert len(pivot_rows) == len(pivot_cols) == len(taken)
+    # the only entries in a pivot row and a pivot column are the pivots
+    assert sum(i in pivot_rows and j in pivot_cols for i, j in zip(rows, cols)) == len(taken)
+    if p:
+        ceiling = max(cost[e] for e in first)
+        assert max(cost[e] for e in taken) == ceiling
+        blocked_rows = set().union(*(rows_of_col[j] for j in pivot_cols))
+        blocked_cols = set().union(*(cols_of_row[i] for i in pivot_rows))
+        assert all(
+            cost[e] > ceiling
+            for e, (i, j) in enumerate(zip(rows, cols))
+            if i not in blocked_rows and j not in blocked_cols
+        )
+
+
+def _checked_rounds(mp, log):
+    """Patch ``_round_pivots`` to check every pivot set it returns and log
+    (live entries, live density, pivots) per call, pivots None where the
+    rounds stop."""
+    search = linalg._round_pivots
+
+    def checked(r, c, v, nrows, ncols, p):
+        piv = search(r, c, v, nrows, ncols, p)
+        if piv is not None:
+            _check_round(r, c, v, piv, p)
+        density = v.size / (np.unique(r).size * np.unique(c).size)
+        log.append((v.size, density, None if piv is None else piv.size))
+        return piv
+
+    mp.setattr(linalg, "_round_pivots", checked)
+
+
+@st.composite
+def _sparse_matrix(draw, p):
+    """{row: {col: value}} of up to 14 x 14 with values over GF(p) or QQ:
+    units, repeats, stored zeros and, over QQ, fractions."""
+    nrows, ncols = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    if p:
+        values = st.sampled_from([0, 1, 2, p - 1]) | st.integers(0, p - 1)
+    else:
+        values = st.sampled_from([1, -1, 2, -3, 0]) | st.fractions(-4, 4, max_denominator=3)
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    entries = draw(st.dictionaries(cells, values, max_size=3 * max(nrows, ncols)))
+    rows = {}
+    for (i, j), x in sorted(entries.items()):
+        rows.setdefault(i, {})[j] = x
+    return rows, nrows, ncols
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 101, 32003, MAX_PRIME], ids=["QQ", "GF2", "GF3", "GF101", "GF32003", "GFmax"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_round_pivots_span_a_diagonal_block(p, data):
+    rows, nrows, ncols = data.draw(_sparse_matrix(p))
+    dense = [[rows.get(i, {}).get(j, 0) for j in range(ncols)] for i in range(nrows)]
+    want = gf_rank_slow(dense, p) if p else fraction_rank(dense)
+    with pytest.MonkeyPatch.context() as mp:
+        _checked_rounds(mp, [])
+        assert sparse_rank(rows, nrows, ncols, GF(p) if p else QQ) == want
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_sparse_rank_through_a_tail_just_under_the_dense_share(monkeypatch, p):
+    # seven diagonal blocks of 24 x 24 at half density, rows and columns
+    # shuffled, each with two rows that are sums of two others.  The blocks
+    # fill in as they are eliminated, but full blocks only reach 1/7 of the
+    # live rows times columns, just under _DENSE_SHARE: the rounds go on,
+    # each taking one or two pivots per block, until the blocks run out or
+    # the share is passed and gf_rank takes the rest
+    blocks, size = int(1 / linalg._DENSE_SHARE) + 1, 24
+    n = blocks * size
+    rng = random.Random(23)
+    perm_r, perm_c = rng.sample(range(n), n), rng.sample(range(n), n)
+    rows = {}
+    for b in range(blocks):
+        block = [{j: rng.randrange(1, p) for j in range(size) if rng.random() < 0.5} for _ in range(size)]
+        for k in (0, 1):
+            block[k] = {j: (block[2 + k].get(j, 0) + 2 * block[4 + k].get(j, 0)) % p for j in set(block[2 + k]) | set(block[4 + k])}
+        for i, cs in enumerate(block):
+            rows[perm_r[b * size + i]] = {perm_c[b * size + j]: x for j, x in cs.items()}
+    dense = [[rows.get(i, {}).get(j, 0) for j in range(n)] for i in range(n)]
+    log = []
+    _checked_rounds(monkeypatch, log)
+    assert sparse_rank(rows, n, n, GF(p)) == gf_rank_slow(dense, p) == blocks * (size - 2)
+    tail = [piv for _, share, piv in log if 0.95 * linalg._DENSE_SHARE < share <= linalg._DENSE_SHARE]
+    assert len(tail) >= 6 and all(piv <= 2 * blocks for piv in tail), log
+
+
+@pytest.mark.parametrize("p, most", [(32003, 75), (0, 208)], ids=["GF32003", "QQ"])
+def test_rounds_of_r_at_n7(monkeypatch, p, most):
+    # the rounds that take pivots in R's Koszul table at n = 7.  Over GF(p)
+    # each round goes on choosing pivots that the earlier ones leave free
+    # (108 rounds with one pass each); over QQ a round is one pass, exactly
+    # as many as ever
+    rounds = []
+    search = linalg._round_pivots
+    monkeypatch.setattr(linalg, "_round_pivots", lambda *a: rounds.append(search(*a)) or rounds[-1])
+    koszul_betti(named_quotient("R", 7, GF(p) if p else QQ))
+    taken = sum(piv is not None for piv in rounds)
+    assert taken <= most if p else taken == most
+
+
 def test_sparse_rank_explicit_zero_regression():
     rows = {
         0: {1: Fraction(0), 4: Fraction(-1)},
@@ -283,15 +434,20 @@ def test_sparse_rank_takes_entries_beyond_int64():
 def test_sparse_rank_sums_many_products_mod_the_largest_prime():
     # an arrow: k pivot rows {i: a_i, k: b_i} and one row {i: -a_i, k: d}, so
     # one round pivots on the whole diagonal and entry (k, k) receives k
-    # products of about p^2; unreduced, their sum passes 2^63
+    # products of about p^2; unreduced, their sum passes 2^63.  Spread over
+    # 200 times as many rows and columns, the entries' keys times p pass
+    # 2^63 too, so the products are merged by an argsort, not a packed sort
     p, k = MAX_PRIME, 2100
-    rows = {i: {i: i + 2, k: p - 1 - i} for i in range(k)}
     # the multiplier of each product is -a_i / a_i = -1, so the complement is d + sum(b_i)
     rest = sum(p - 1 - i for i in range(k)) % p
-    for shift, want in ((0, k), (1, k + 1)):
-        rows[k] = {i: p - (i + 2) for i in range(k)}
-        rows[k][k] = (shift - rest) % p
-        assert sparse_rank(rows, k + 1, k + 1, GF(p)) == want
+    for stride in (1, 200):
+        assert ((k * stride + 1) ** 2 * p >= 1 << 63) == (stride > 1)
+        for shift, want in ((0, k), (1, k + 1)):
+            rows = {i: {i: i + 2, k: p - 1 - i} for i in range(k)}
+            rows[k] = {i: p - (i + 2) for i in range(k)}
+            rows[k][k] = (shift - rest) % p
+            spread = {stride * i: {stride * j: x for j, x in cs.items()} for i, cs in rows.items()}
+            assert sparse_rank(spread, k * stride + 1, k * stride + 1, GF(p)) == want
 
 
 def test_sparse_rank_hands_large_fill_to_bareiss(monkeypatch):
@@ -400,6 +556,20 @@ def test_echelon_insert_reports_dependence(p):
     if p:
         assert ech.rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert ech.contains(vec(p, -p, 2 * p))
+
+
+@pytest.mark.parametrize("p", FIELD_CHARS, ids=FIELD_IDS)
+def test_echelon_refuses_vectors_of_the_wrong_length(p):
+    # Echelon(GF(7), 3).insert([1, 2]) used to store a two-entry row, and
+    # later zips against it truncated
+    field = GF(p) if p else QQ
+    ech = Echelon(field, 3)
+    ech.insert([field.one(), field.zero(), field.zero()])
+    for vec in ([1, 2], [1, 2, 3, 4], []):
+        for method in (ech.insert, ech.reduce, ech.contains):
+            with pytest.raises(DimensionMismatch):
+                method(vec)
+    assert ech.rows == [[1, 0, 0]] and ech.pivots == [0]
 
 
 def test_only_linalg_knows_the_matrix_format():
