@@ -132,12 +132,13 @@ def default_characteristic(n: int) -> int:
 
     Rank computations at n = 8 get large enough that the single-large-prime
     path is the practical default; callers can always force characteristic 0.
-    Measured on a 2-CPU machine (two runs each, process start and ring
-    construction included), the n = 8 Koszul table (``betti --method
-    koszul --no-cache``) takes 1.2-2.0 s for R and 0.4-0.6 s for A over
-    GF(32003), against 4.2-4.8 s and 0.7 s over QQ.  A is cheap in both
-    fields because the Koszul route ranks one slice per dual pair of a
-    Gorenstein ring; R's table is what the prime still pays for.
+    Measured on a 2-CPU machine (process start and ring construction
+    included), the n = 8 Koszul table (``betti --method koszul
+    --no-cache``) takes 1.2-2.0 s for R (four runs; the table alone takes
+    0.90 s, the median of ten benchmark passes) and 0.4-0.6 s for A over
+    GF(32003), against 4.8-4.9 s (two runs) and 0.7 s over QQ.  A is cheap
+    in both fields because the Koszul route ranks one slice per dual pair
+    of a Gorenstein ring; R's table is what the prime still pays for.
     The prime comfortably exceeds every n in scope, matching the standing
     hypothesis that the characteristic is zero or larger than n.
     """

@@ -17,9 +17,9 @@ arithmetic is int64, one pass of local minima per round.  Over GF(p) any
 nonzero entry may pivot, and each round repeats the pass on the entries
 its pivots leave free, under the cost of the first pass's costliest pivot,
 until none is left: a maximal set of compatible pivots in Markowitz order
-(Davis-Yew, SIAM J. Matrix Anal. Appl. 11, 1990).  Its product terms are
-merged by sorting one packed int64 array in place.  The rounds go on until
-the rest is dense.  What is left goes to the dense kernel as one tall block:
+(Davis-Yew, SIAM J. Matrix Anal. Appl. 11, 1990).  The round's product
+terms are merged by sorting one packed int64 array in place.  The rounds
+go on until the rest is dense.  What is left goes to the dense kernel as one tall block:
 fraction-free (Bareiss) elimination over QQ, and over GF(p) ``gf_rank``, a
 row-recursive reduced echelon form in place whose work is ``gf_matmul``
 products of the rank's size, with leaves of at most 8 rows (Dumas-Giorgi-
