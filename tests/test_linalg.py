@@ -398,9 +398,8 @@ def test_sparse_rank_through_a_tail_just_under_the_dense_share(monkeypatch, p):
 @pytest.mark.parametrize("p, most", [(32003, 75), (0, 208)], ids=["GF32003", "QQ"])
 def test_rounds_of_r_at_n7(monkeypatch, p, most):
     # the rounds that take pivots in R's Koszul table at n = 7.  Over GF(p)
-    # each round goes on choosing pivots that the earlier ones leave free
-    # (108 rounds with one pass each); over QQ a round is one pass, exactly
-    # as many as ever
+    # each round goes on choosing pivots that the earlier ones leave free,
+    # where one pass per round takes 108 rounds; over QQ a round is one pass
     rounds = []
     search = linalg._round_pivots
     monkeypatch.setattr(linalg, "_round_pivots", lambda *a: rounds.append(search(*a)) or rounds[-1])
