@@ -154,13 +154,15 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cached(args, key, compute):
-    """Return the payload for ``key``, recomputing unless cached."""
+def _cached(args, ns, header: dict, result, **params) -> dict:
+    """``{command, **header, "results": [result(n) for n in ns]}``, cached under the
+    command, ``ns``, the header and ``params``; ``--no-cache`` recomputes."""
+    key = cache_key(args.command, ns=ns, **header, **params)
     if not args.no_cache:
         hit = lookup(key)
         if hit is not None:
             return hit
-    payload = compute()
+    payload = {"command": args.command, **header, "results": [result(n) for n in ns]}
     if not args.no_cache:
         try:
             store(key, payload)
@@ -210,19 +212,8 @@ def _table(args, parser, ns, value, plain: str, computed: str) -> tuple[dict, in
         by_formula, by_computed = value("formula", n, characteristic), value(computed, n, characteristic)
         return {"n": n, "formula": by_formula, computed: by_computed, "match": by_formula == by_computed}
 
-    def compute():
-        return {
-            "command": args.command,
-            "ring": args.ring,
-            "characteristic": characteristic,
-            "method": method,
-            "results": [result(n) for n in ns],
-        }
-
-    key = cache_key(
-        args.command, ring=args.ring, ns=ns, characteristic=characteristic, method=method, degree_cap=args.degree_cap
-    )
-    payload = _cached(args, key, compute)
+    header = {"ring": args.ring, "characteristic": characteristic, "method": method}
+    payload = _cached(args, ns, header, result, degree_cap=args.degree_cap)
     return payload, int(args.cross_check and not all(r["match"] for r in payload["results"]))
 
 
@@ -306,16 +297,7 @@ def cmd_sequence(args, parser) -> tuple[str, int]:
             parser.error("--n-range contains no even n")
     fn = rho_sequence if args.kind == "rho" else gamma_sequence
 
-    key = cache_key("sequence", kind=args.kind, ns=ns)
-
-    def compute():
-        return {
-            "command": "sequence",
-            "kind": args.kind,
-            "results": [{"n": n, "values": fn(n)} for n in ns],
-        }
-
-    payload = _cached(args, key, compute)
+    payload = _cached(args, ns, {"kind": args.kind}, lambda n: {"n": n, "values": fn(n)})
     if args.format == "json":
         return _json_text(payload), 0
     if args.format == "csv":
@@ -354,16 +336,7 @@ def cmd_gorenstein(args, parser) -> tuple[str, int]:
         parser.error("gorenstein output is text or json")
     characteristic = _resolve_char(args, ns, parser)
 
-    key = cache_key("gorenstein", ns=ns, characteristic=characteristic)
-
-    def compute():
-        return {
-            "command": "gorenstein",
-            "characteristic": characteristic,
-            "results": [_gorenstein_result(n, characteristic) for n in ns],
-        }
-
-    payload = _cached(args, key, compute)
+    payload = _cached(args, ns, {"characteristic": characteristic}, lambda n: _gorenstein_result(n, characteristic))
     if args.format == "json":
         return _json_text(payload), 0
 

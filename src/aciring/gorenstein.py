@@ -1,12 +1,13 @@
 """The Gorenstein quotient through its explicit generators and inverse system.
 
 Three independent presentations of the same ideal meet here: the colon
-construction lives in :mod:`.quotient`, while this module builds the
+construction lives in :mod:`.resolution`, while this module builds the
 symmetric-orbit generators, the annihilator of a single dual form, and the
 predicted initial ideal whose squarefree part is indexed by ballot
-sequences.  It also carries the strong Lefschetz check for the quotient by
-two independent routes: Hessian determinants of the dual form, and ranks of
-the powers of the variable sum on the ``QuotientRing`` of the annihilator.
+sequences.  It also carries the strong Lefschetz check for A by two
+independent routes that share no construction: Hessian determinants of the
+dual form, and ranks of the powers of the variable sum on A built by the
+colon construction (``named_quotient("A", ...)``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .poly import (
     symmetric_orbit,
     variable_sum,
 )
-from .quotient import QuotientRing
+from .resolution import named_quotient
 from .runmemo import _per_run
 
 __all__ = [
@@ -213,9 +214,6 @@ class HessianMatrix:
         self.entries = entries
         self.field = field
 
-    def dimension(self) -> int:
-        return len(self.basis)
-
     def at_ones(self):
         return [[e.evaluate_at_ones() for e in row] for row in self.entries]
 
@@ -256,14 +254,14 @@ def disjointness_invertible(n: int, i: int) -> bool:
 
 
 def _lefschetz_by_ranks(n: int, field: Field) -> bool:
-    """Maximal-rank test for all powers of the variable sum acting on the
-    quotient by the annihilator of the dual form.
+    """Maximal-rank test for all powers of the variable sum acting on A.
 
-    The quotient is the ``QuotientRing`` of :func:`ann_of_form`, whose socle
-    degree is n - 2; the power ℓ^j out of degree d is the composite of the
-    column maps of ℓ between consecutive degrees, ``multiplication_map(ℓ, d)``.
+    A is ``named_quotient("A", n, field)``, the colon construction
+    (squares) : h^2, whose socle degree is n - 2; it never reads the dual
+    form.  The power ℓ^j out of degree d is the composite of the column maps
+    of ℓ between consecutive degrees, ``multiplication_map(ℓ, d)``.
     """
-    A = QuotientRing(ann_of_form(n, field), name="A")
+    A = named_quotient("A", n, field)
     top = n - 2
     steps = [A.multiplication_map(variable_sum(n, field), d) for d in range(top)]
     dims = [A.hilbert_function(d) for d in range(top + 1)]
@@ -282,14 +280,15 @@ def _lefschetz_by_ranks(n: int, field: Field) -> bool:
 
 
 def slp_check_A(n: int, characteristic: int = 0) -> bool:
-    """Strong Lefschetz check for the quotient by the dual form's annihilator.
+    """Strong Lefschetz check for A.
 
     Over the rationals two independent routes must agree and both hold:
-    every Hessian determinant is nonzero at the all-ones point, and every
-    power of the variable sum multiplies with maximal rank between graded
-    pieces.  The Hessian-determinant criterion belongs to characteristic
-    zero, so in positive characteristic a warning is issued and the rank
-    route alone decides (sensible when the characteristic exceeds n).
+    every Hessian determinant of the dual form is nonzero at the all-ones
+    point, and every power of the variable sum multiplies with maximal rank
+    between graded pieces of A built by the colon construction.  The
+    Hessian-determinant criterion belongs to characteristic zero, so in
+    positive characteristic a warning is issued and the rank route alone
+    decides (sensible when the characteristic exceeds n).
     """
     if characteristic:
         warnings.warn(

@@ -131,17 +131,11 @@ class GroebnerBasis:
         self.field = field
         self.polys = tuple(polys)
 
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self)
-
     def initial_ideal(self) -> MonomialIdeal:
         return MonomialIdeal(self.n, [g.lm for g in self.polys])
 
     def standard_monomials(self, d: int) -> list[Mono]:
         return self.initial_ideal().standard_monomials(d)
-
-    def standard_count(self, d: int) -> int:
-        return len(self.standard_monomials(d))
 
     def __iter__(self):
         return iter(self.polys)

@@ -87,11 +87,15 @@ def squarefree_monomials(n: int, d: int) -> list[Mono]:
 class _TermList:
     """The n, field and sorted terms that polynomials and dual forms share.
 
-    The unsorted path is the one place terms are merged: each coefficient
-    enters the field through ``field.coerce``, duplicates are summed, zeros
-    dropped and the monomials sorted.  ``_sorted=True`` stores the terms as
-    given, for internal callers whose terms come out of field operations
-    already canonical, nonzero and in order.
+    The unsorted path merges arbitrary terms: each coefficient enters the
+    field through ``field.coerce``, duplicates are summed, zeros dropped and
+    the monomials sorted.  ``_sorted=True`` stores the terms as given, for
+    internal callers whose terms come out of field operations already
+    canonical, nonzero and in order.  The other merge is ``_merge``, behind
+    ``+`` and ``-``: a linear pass over two sorted lists.  Routing those
+    through this constructor instead took ``groebner_basis`` of the n = 8
+    orbit ideal over GF(32003), plus ``is_groebner_basis``, from 1.8-1.9 s
+    to 2.9-3.3 s (three runs each, one core of a 2-CPU machine), so it stays.
     """
 
     __slots__ = ("n", "field", "terms")
@@ -369,8 +373,8 @@ def _coeff_is_negative(c, field: Field) -> bool:
     return not field.characteristic and c < 0
 
 
-def format_poly(f: Polynomial, var: str = "x") -> str:
-    return _format_terms(f.terms, f.field, var)
+def format_poly(f: Polynomial) -> str:
+    return _format_terms(f.terms, f.field, "x")
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<coeff>\d+(?:/\d+)?)|(?P<var>[A-Za-z])(?P<idx>\d+)(?:\^(?P<exp>\d+))?|(?P<op>[+\-*]))")

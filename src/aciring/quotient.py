@@ -375,7 +375,9 @@ class GradedModuleSpan:
     degreewise interface the resolution engines use on rings:
     ``hilbert_function``, ``variable_map``, ``socle_degree``.  The degree-d
     piece is x_k times the degree-(d-1) piece, over every k, plus the
-    generators of degree d.
+    generators of degree d.  The Koszul route pairs dual slices only for a
+    ``QuotientRing``: self-duality needs a ring, and G/J's top Koszul row is
+    [0, ..., 0, 1] at n = 4, 5 and 6 while its table is not symmetric.
     """
 
     def __init__(self, ambient: QuotientRing, generators: Sequence[Polynomial], name: str = ""):
@@ -438,9 +440,9 @@ class GradedModuleSpan:
 # ----------------------------------------------------------------------
 
 
-def hilbert_function(q: QuotientRing, through: int | None = None) -> list[int]:
-    """The Hilbert function of the quotient as a sequence from degree 0."""
-    return q.hilbert_series(through)
+def hilbert_function(q: QuotientRing) -> list[int]:
+    """The Hilbert function of an Artinian quotient as a sequence from degree 0."""
+    return q.hilbert_series()
 
 
 def annihilator(q: QuotientRing, f: Polynomial, through_degree: int | None = None) -> list[Polynomial]:
@@ -452,16 +454,14 @@ def annihilator(q: QuotientRing, f: Polynomial, through_degree: int | None = Non
     return list(q.generators) + q.annihilator_of_element(f, through_degree)
 
 
-def max_rank_check(q: QuotientRing, f: Polynomial, through: int | None = None) -> bool:
-    """True when multiplication by f has maximal rank out of every degree."""
+def max_rank_check(q: QuotientRing, f: Polynomial) -> bool:
+    """True when multiplication by f has maximal rank out of every degree of an Artinian ring."""
     e = f.degree
     if e <= 0:
         raise ValueError("expected a homogeneous element of positive degree")
-    if through is None:
-        if not q.is_artinian:
-            raise ValueError("a non-Artinian ring needs an explicit degree bound")
-        through = q.socle_degree()
-    for d in range(through + 1):
+    if not q.is_artinian:
+        raise ValueError("max_rank_check needs an Artinian ring")
+    for d in range(q.socle_degree() + 1):
         src, tgt = q.hilbert_function(d), q.hilbert_function(d + e)
         if src and rank(q.multiplication_map(f, d), q.field) != min(src, tgt):
             return False

@@ -74,30 +74,6 @@ class BettiTable:
     def max_i(self) -> int:
         return max((i for i, _ in self.entries), default=0)
 
-    @property
-    def max_j(self) -> int:
-        return max((j for _, j in self.entries), default=0)
-
-    def rows(self) -> list[tuple[int, int, int]]:
-        return [(i, j, v) for (i, j), v in sorted(self.entries.items())]
-
-    def _derived(self, entries: dict, window: tuple[int, int] | None) -> "BettiTable":
-        """Another table with this one's provenance."""
-        return BettiTable(
-            self.n, entries, window, self.ring_label, self.module_label, self.characteristic, self.method
-        )
-
-    def restricted(self, max_i: int, max_j: int) -> "BettiTable":
-        sub = {(i, j): v for (i, j), v in self.entries.items() if i <= max_i and j <= max_j}
-        return self._derived(sub, (max_i, max_j))
-
-    def shifted(self, di: int, dj: int) -> "BettiTable":
-        sub = {(i + di, j + dj): v for (i, j), v in self.entries.items()}
-        window = None
-        if self.window is not None:
-            window = (self.window[0] + di, self.window[1] + dj)
-        return self._derived(sub, window)
-
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries
 
@@ -263,7 +239,10 @@ def ci_resolution_betti(
     ``socle_dimensions`` has certified that, only the member of each pair
     with the lower source degree j - i (the lower i on a tie) is ranked, and
     the other takes its rank.  Every other module, and every nonempty U,
-    has each slice ranked.
+    has each slice ranked.  The argument needs a ring, not only a top Koszul
+    row of [0, ..., 0, 1]: G/J, a ``GradedModuleSpan``, has that row at
+    n = 4, 5 and 6, yet its table is not symmetric (at n = 4,
+    beta_{0,2} = 5 against beta_{4,8} = 1).
     """
     n = module.n
     field = module.field
@@ -323,9 +302,9 @@ def ci_resolution_betti(
 
 
 @_per_run
-def koszul_betti(module: QuotientRing, max_i: int | None = None, max_j: int | None = None) -> BettiTable:
+def koszul_betti(module: QuotientRing, max_j: int | None = None) -> BettiTable:
     """Betti numbers over the polynomial ring (Koszul complex route)."""
-    return ci_resolution_betti(module, (), max_i=max_i, max_j=max_j)
+    return ci_resolution_betti(module, (), max_j=max_j)
 
 
 # ----------------------------------------------------------------------

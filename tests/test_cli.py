@@ -155,6 +155,24 @@ def test_betti_csv_single_n(capsys):
     assert out == "i,j,value\n0,0,1\n1,2,3\n2,3,2\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--ring", "R", "--n", "4", "--format", "json"],
+        ["hilbert", "--ring", "A", "--n", "5", "--method", "quotient", "--format", "json"],
+    ],
+    ids=["betti", "hilbert"],
+)
+def test_char_zero_gives_the_rational_results(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--char", "0")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["characteristic"] == 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert payload["results"] == json.loads(out)["results"]
+
+
 def test_betti_csv_refuses_ranges(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["betti", "--ring", "R", "--n-range", "2..3", "--format", "csv"])

@@ -170,7 +170,7 @@ def test_ann_of_form_n5_equals_orbit_ideal():
 
 def test_hessian_order_zero_n4():
     h = hessian(4, 0)
-    assert h.dimension() == 1
+    assert len(h.basis) == 1
     assert h.at_ones() == [[12]]  # F(1,...,1) = 2 * binom(4,2)
     assert h.determinant_at_ones() == 12
 

@@ -31,7 +31,7 @@ from aciring import (
     squares_ideal,
     variable_sum,
 )
-from aciring.errors import DimensionMismatch, FieldMismatch
+from aciring.errors import DegreeCapExceeded, DimensionMismatch, FieldMismatch
 from aciring.linalg import rank
 from aciring.quotient import GradedModuleSpan
 from aciring.resolution import gorenstein_presentation
@@ -69,6 +69,19 @@ def test_generators_that_vanish_in_the_field_are_dropped():
     assert ideal_equal(squares + [seven_x1], squares)
     zero_x1 = Polynomial.monomial(2, QQ, (1, 0), 0)
     assert QuotientRing(squares_ideal(2, QQ) + [zero_x1]).hilbert_series() == [1, 2, 1]
+
+
+def test_is_complete_above_the_cap_by_buchberger_criterion():
+    # x1*x2 + x2^2 shares x1 with x1^2, so it is eliminated, not part of B;
+    # x2^3 joins in(I) in degree 3, and its pair with x1*x2 has lcm degree 4
+    gens = [Polynomial.monomial(2, QQ, (2, 0)), Polynomial(2, QQ, [((1, 1), 1), ((0, 2), 1)])]
+    q = QuotientRing(gens, degree_cap=4)
+    assert q.is_complete
+    assert q.hilbert_function(5) == 0
+    q = QuotientRing(gens, degree_cap=3)
+    assert not q.is_complete
+    with pytest.raises(DegreeCapExceeded):
+        q.hilbert_function(4)
 
 
 def test_hilbert_function_literals():
@@ -284,6 +297,12 @@ def test_max_rank_check_h_squared_on_p():
 
 def test_max_rank_check_rejects_single_square():
     assert not max_rank_check(ring("P", 3), var(3, 0).mul(var(3, 0)))
+
+
+def test_max_rank_check_refuses_a_non_artinian_ring():
+    primed = QuotientRing(primed_squares_ideal(3, QQ))
+    with pytest.raises(ValueError):
+        max_rank_check(primed, variable_sum(3, QQ))
 
 
 def test_p_has_strong_lefschetz():

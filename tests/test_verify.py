@@ -9,6 +9,7 @@ from contextlib import contextmanager
 import pytest
 
 from aciring import resolution, runmemo, verify
+from aciring.errors import DegreeCapExceeded
 from aciring.fields import QQ
 from aciring.gorenstein import G_from_orbit, ann_of_form
 from aciring.quotient import QuotientRing
@@ -70,12 +71,28 @@ def test_run_suite_builds_each_named_ring_and_presentation_once(monkeypatch):
     assert named == {(label, n, 0): 1 for label in "PRA" for n in range(2, 8)}
     assert colons == {n: 1 for n in range(2, 8)}
     # the 18 named rings, one ring per route to G per n (the three-way check's
-    # cycle of memberships), and one each for groebner_basis and
-    # _lefschetz_by_ranks per n
-    assert len(built) == 18 + 18 + 6 + 6
+    # cycle of memberships), and one for groebner_basis per n; _lefschetz_by_ranks
+    # takes the named A
+    assert len(built) == 18 + 18 + 6
     # nothing built inside the run outlives it
     gc.collect()
     assert built and not [ref for ref in built if ref() is not None]
+
+
+def test_run_suite_records_a_check_that_hits_a_cap_and_runs_on(monkeypatch):
+    def capped(n, characteristic=0):
+        raise DegreeCapExceeded(3, f"capped at n={n}")
+
+    monkeypatch.setattr(verify, "slp_check_A", capped)
+    report = run_suite("slp", [3, 4])
+    records = {(r.check_id, r.n): r for r in report.records}
+    assert len(records) == 4 and not report.passed
+    for n in (3, 4):
+        failed = records[("slp-both-routes", n)]
+        assert (failed.expected, failed.computed, failed.passed) == (
+            "completes within caps", f"resource: capped at n={n}", False
+        )
+        assert records[("slp-disjointness", n)].passed
 
 
 def test_named_quotient_outside_a_run_builds_afresh():
