@@ -6,13 +6,14 @@ working directory, and compares stdout, stderr, the exit code and the
 ``--out`` file.  Timings are masked first: the ``runtime_ms`` values of
 ``verify --format json`` and the ``(N ms)`` of its text form.
 
-    python tools/cli_identity.py OLD_TREE NEW_TREE [--jobs 2] [--repeat] [--match REGEX]
+    python tools/cli_identity.py OLD_TREE NEW_TREE
 
-A tree is a directory holding ``src/aciring``.  ``--repeat`` runs each argv a
-second time in the same directories, so that run reads the cache the first
-one wrote, and compares it too.  Exits 0 when every run is identical, 1
-otherwise; each difference is printed.  The corpus takes a few minutes per
-tree on two cores.
+A tree is a directory holding ``src/aciring``.  Each argv runs twice in the
+same directories: first as a cache miss, then as the cache hit that reads what
+the first run wrote.  A run that exceeds the timeout is recorded as an outcome
+of its own and reported as a difference, on either tree.  Exits 0
+when every run is identical, 1 otherwise; each difference is printed.  The
+corpus takes a few minutes per tree, two argvs at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+_JOBS = 2
+_TIMEOUT_S = 900
 _TIMINGS = (
     (re.compile(r'"runtime_ms": [0-9.eE+-]+'), '"runtime_ms": 0'),
     (re.compile(r"\(\d+ ms\)"), "(N ms)"),
@@ -126,8 +129,8 @@ def _out_file(argv: list[str], work: Path) -> str | None:
     return _masked(target.read_text()) if target.is_file() else None
 
 
-def run(tree: Path, line: str, repeat: bool) -> list[tuple]:
-    """(exit code, stdout, stderr, --out file) of each run of one argv at one tree."""
+def run(tree: Path, line: str) -> list[tuple]:
+    """(exit code, stdout, stderr, --out file) of the miss and the hit of one argv at one tree."""
     argv = shlex.split(line)
     with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
         home, work = Path(tmp, "home"), Path(tmp, "work")
@@ -141,20 +144,32 @@ def run(tree: Path, line: str, repeat: bool) -> list[tuple]:
             PYTHONDONTWRITEBYTECODE="1",
         )
         results = []
-        for _ in range(2 if repeat else 1):
-            proc = subprocess.run(
-                [sys.executable, "-m", "aciring", *argv], cwd=work, env=env, capture_output=True, text=True, timeout=900
-            )
+        for _ in range(2):
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "aciring", *argv],
+                    cwd=work,
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    timeout=_TIMEOUT_S,
+                )
+            except subprocess.TimeoutExpired:
+                results.append((f"timeout after {_TIMEOUT_S} s", "", "", None))
+                continue
             results.append((proc.returncode, _masked(proc.stdout), _masked(proc.stderr), _out_file(argv, work)))
         return results
 
 
-def compare(old: Path, new: Path, line: str, repeat: bool) -> tuple[int, list[str]]:
-    """The exit code at the old tree, and a description of each difference."""
-    a, b = run(old, line, repeat), run(new, line, repeat)
+def compare(old: Path, new: Path, line: str) -> tuple[int | str, list[str]]:
+    """The first run's exit code at the old tree, and a description of each difference."""
+    a, b = run(old, line), run(new, line)
     problems = []
     for k, (x, y) in enumerate(zip(a, b)):
         label = "cache hit" if k else "first run"
+        if isinstance(x[0], str) or isinstance(y[0], str):
+            problems.append(f"{label}: {x[0]} vs {y[0]}")
+            continue
         for name, u, v in zip(("exit code", "stdout", "stderr", "--out file"), x, y):
             if u != v:
                 problems.append(f"{label}: {name} differs: {str(u)[:200]!r} vs {str(v)[:200]!r}")
@@ -165,18 +180,16 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", type=Path, help="source tree of the reference side")
     ap.add_argument("new", type=Path, help="source tree of the side under test")
-    ap.add_argument("--jobs", type=int, default=2, help="argvs run at once (default 2)")
-    ap.add_argument("--repeat", action="store_true", help="run each argv again as a cache hit")
-    ap.add_argument("--match", default="", help="run only the argvs this regex finds")
     args = ap.parse_args()
     for tree in (args.old, args.new):
         if not (tree / "src" / "aciring").is_dir():
             ap.error(f"{tree} holds no src/aciring")
-    lines = [line for line in corpus() if re.search(args.match, line)]
+    old, new = args.old.resolve(), args.new.resolve()
+    lines = corpus()
     codes: Counter = Counter()
     failed = 0
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-        outcomes = pool.map(lambda line: compare(args.old.resolve(), args.new.resolve(), line, args.repeat), lines)
+    with ThreadPoolExecutor(_JOBS) as pool:
+        outcomes = pool.map(lambda line: compare(old, new, line), lines)
         for line, (code, problems) in zip(lines, outcomes):
             codes[code] += 1
             if problems:
@@ -184,7 +197,7 @@ def main() -> int:
                 print(f"DIFF  aciring {line}")
                 for p in problems:
                     print(f"      {p}")
-    summary = ", ".join(f"{n} exit {code}" for code, n in sorted(codes.items()))
+    summary = ", ".join(f"{n} exit {code}" for code, n in sorted(codes.items(), key=str))
     print(f"{len(lines)} argvs ({summary}): {len(lines) - failed} identical, {failed} different")
     return 1 if failed else 0
 
