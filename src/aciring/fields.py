@@ -1,10 +1,15 @@
 """Coefficient fields: exact rationals and prime fields GF(p).
 
-Rational coefficients are plain ``fractions.Fraction`` values; prime-field
-coefficients are ints in ``range(p)``.  A ``Field`` instance bundles the
-arithmetic so polynomial and matrix code can stay field-agnostic.  An int
-or a ``Fraction`` from outside becomes a coefficient only through
-``Field.coerce``, the one rule for entering the field.
+A rational coefficient is canonical: an integral value is a Python int, and
+a ``fractions.Fraction`` appears only when the denominator is above 1, so
+the integral values that P, R and A mostly hold pay int arithmetic, not
+``Fraction`` arithmetic.  Prime-field coefficients are ints in ``range(p)``.
+A ``Field`` instance bundles the arithmetic so polynomial and matrix code
+can stay field-agnostic; over QQ each of its operations returns the
+canonical value.  An int or a ``Fraction`` from outside becomes a
+coefficient only through ``Field.coerce``, the one rule for entering the
+field.  The only true division is ``inv`` of a ``Fraction``, so no int
+divides an int and no float can appear.
 """
 
 from __future__ import annotations
@@ -29,6 +34,18 @@ def is_prime(p: int) -> bool:
 MAX_PRIME = next(p for p in range(isqrt((1 << 53) - 1) + 1, 1, -1) if is_prime(p))
 
 
+def canonical(a):
+    """A rational as its canonical coefficient: the int if it is integral, else the ``Fraction``."""
+    if type(a) is int or a.denominator != 1:
+        return a
+    return a.numerator
+
+
+def canonical_vector(vec: list) -> list:
+    """``vec`` with each integral ``Fraction`` made an int; ``vec`` itself when it holds no ``Fraction``."""
+    return [canonical(a) for a in vec] if Fraction in map(type, vec) else vec
+
+
 class Field:
     """The rationals (characteristic 0) or GF(p) for a prime p."""
 
@@ -45,37 +62,39 @@ class Field:
 
     # -- basic queries ------------------------------------------------
     def zero(self):
-        return 0 if self.characteristic else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.characteristic else Fraction(1)
+        return 1
 
     def coerce(self, a):
         """An int or a ``Fraction`` as an element of this field; TypeError otherwise.
 
-        Over GF(p) an int is reduced mod p and a fraction maps through the
-        inverse of its denominator, so p dividing it raises ZeroDivisionError.
+        Over QQ an int stays itself and a ``Fraction`` with denominator 1
+        becomes its numerator, so the result is canonical.  Over GF(p) an int
+        is reduced mod p and a fraction maps through the inverse of its
+        denominator, so p dividing it raises ZeroDivisionError.
         """
         p = self.characteristic
         if isinstance(a, Fraction):
-            return self.div(a.numerator, a.denominator % p) if p else a
-        return index(a) % p if p else Fraction(index(a))
+            return self.div(a.numerator, a.denominator % p) if p else canonical(a)
+        return index(a) % p if p else index(a)
 
     # -- arithmetic ---------------------------------------------------
     def add(self, a, b):
         if self.characteristic:
             return (a + b) % self.characteristic
-        return a + b
+        return canonical(a + b)
 
     def sub(self, a, b):
         if self.characteristic:
             return (a - b) % self.characteristic
-        return a - b
+        return canonical(a - b)
 
     def mul(self, a, b):
         if self.characteristic:
             return (a * b) % self.characteristic
-        return a * b
+        return canonical(a * b)
 
     def neg(self, a):
         if self.characteristic:
@@ -89,7 +108,7 @@ class Field:
             a = int(a) % p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, p - 2, p) if p else 1 / Fraction(a)
+        return pow(a, p - 2, p) if p else canonical(1 / Fraction(a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -136,7 +155,7 @@ def default_characteristic(n: int) -> int:
     included), the n = 8 Koszul table (``betti --method koszul
     --no-cache``) takes 1.2-2.0 s for R (four runs; the table alone takes
     0.90 s, the median of ten benchmark passes) and 0.4-0.6 s for A over
-    GF(32003), against 4.8-4.9 s (two runs) and 0.7 s over QQ.  A is cheap
+    GF(32003), against 3.4-3.8 s and 0.4 s over QQ (two runs each).  A is cheap
     in both fields because the Koszul route ranks one slice per dual pair
     of a Gorenstein ring; R's table is what the prime still pays for.
     The prime comfortably exceeds every n in scope, matching the standing

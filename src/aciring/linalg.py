@@ -4,7 +4,9 @@ A linear map is a list of sparse columns: one list per source basis vector,
 holding the (target position, value) pairs of its image with nonzero
 values.  ``compose``, ``rank`` and ``kernel_basis`` take maps in that one
 format.  Vectors are dense lists of field elements: ints in ``range(p)``
-over GF(p), ints or ``Fraction``s over QQ.  ``sparse_rank`` takes
+over GF(p); over QQ canonical rationals, an int for an integral value and a
+``Fraction`` only for a denominator above 1 (see :mod:`.fields`), and every
+map and vector built here keeps that rule.  ``sparse_rank`` takes
 {row: {col: value}}; numpy stays inside it and the mod-p kernels
 ``gf_rank`` and ``gf_matmul`` that it reaches.
 
@@ -37,7 +39,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fields import MAX_PRIME, Field, is_prime
+from .fields import MAX_PRIME, Field, canonical, canonical_vector, is_prime
 
 # ----------------------------------------------------------------------
 # generic helpers
@@ -61,7 +63,7 @@ def compose(products, field: Field) -> list:
                     acc[r] = acc.get(r, 0) + v * w
     if p:
         return [[(r, x % p) for r, x in sorted(acc.items()) if x % p] for acc in out]
-    return [[(r, x) for r, x in sorted(acc.items()) if x] for acc in out]
+    return [[(r, canonical(x)) for r, x in sorted(acc.items()) if x] for acc in out]
 
 
 def rank(columns, field: Field) -> int:
@@ -342,7 +344,7 @@ def _scale_sparse_rows_to_int(rows: dict) -> None:
     Rows of ints with no common factor, the usual case, are left as they are.
     """
     for r, cs in rows.items():
-        if not all(type(v) is int for v in cs.values()):
+        if Fraction in map(type, cs.values()):
             denom = lcm(*(v.denominator for v in cs.values()))
             cs = rows[r] = {c: int(v * denom) for c, v in cs.items()}
         g = gcd(*cs.values())
@@ -525,10 +527,10 @@ def _echelon(A: np.ndarray, p: int) -> list[int]:
 
 
 def _sub_multiple(a: list, c, b: list, p: int) -> list:
-    """The row a - c*b, reduced mod p over GF(p) (p > 0)."""
+    """The row a - c*b, reduced mod p over GF(p) (p > 0) and canonical over QQ."""
     if p:
         return [(x - c * y) % p if y else x for x, y in zip(a, b)]
-    return [x - c * y if y else x for x, y in zip(a, b)]
+    return canonical_vector([x - c * y if y else x for x, y in zip(a, b)])
 
 
 class Echelon:
@@ -536,9 +538,12 @@ class Echelon:
 
     This is the echelon engine of the package: ``kernel_basis`` is built on
     it, and callers use it directly for annihilator extraction, socle
-    checks and span comparisons.  Vectors are lists of field elements (ints
-    in ``range(p)`` over GF(p), ints or ``Fraction``s over QQ); the rows
-    have a 1 at their pivot and 0 at every other row's pivot.
+    checks and span comparisons.  Vectors are lists of field elements: ints
+    in ``range(p)`` over GF(p), and canonical rationals over QQ, an int
+    unless the denominator is above 1.  A vector may come in with integral
+    ``Fraction``s; the rows, residuals and reductions that come out are
+    canonical.  The rows have a 1 at their pivot and 0 at every other row's
+    pivot.
     """
 
     __slots__ = ("field", "ncols", "rows", "pivots")
@@ -561,7 +566,7 @@ class Echelon:
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"a vector of length {len(vec)} in a row space of {self.ncols} columns")
         p = self.field.characteristic
-        v = [x % p for x in vec] if p else list(vec)
+        v = [x % p for x in vec] if p else canonical_vector(list(vec))
         for row, j in zip(self.rows, self.pivots):
             c = v[j]
             if c:
@@ -582,8 +587,9 @@ class Echelon:
             inv = pow(v[piv], p - 2, p)
             v = [inv * x % p for x in v]
         else:
-            inv = 1 / Fraction(v[piv])
-            v = [inv * x for x in v]
+            inv = self.field.inv(v[piv])
+            if inv != 1:
+                v = canonical_vector([inv * x for x in v])
         # keep earlier rows reduced against the new pivot
         for k, row in enumerate(self.rows):
             c = row[piv]

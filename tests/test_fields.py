@@ -1,8 +1,11 @@
-"""The primality predicate and the characteristics a Field accepts."""
+"""The primality predicate, the characteristics a Field accepts, and the
+canonical form of a rational coefficient."""
+
+from fractions import Fraction
 
 import pytest
 
-from aciring.fields import GF, MAX_PRIME, Field, is_prime
+from aciring.fields import GF, MAX_PRIME, QQ, Field, is_prime
 
 
 def _is_prime_naive(p):
@@ -42,3 +45,18 @@ def test_inverse_reduces_before_refusing_zero():
     assert F7.inv(-1) == 6 and F7.div(3, 9) == 5
     with pytest.raises(ZeroDivisionError):
         Field(0).inv(0)
+
+
+def test_rational_coefficients_are_ints_unless_the_denominator_exceeds_one():
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    assert type(QQ.coerce(Fraction(4, 2))) is int and QQ.coerce(Fraction(4, 2)) == 2
+    assert type(QQ.coerce(True)) is int and QQ.coerce(Fraction(-3, 6)) == Fraction(-1, 2)
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(Fraction(-1, 3))) is int and QQ.inv(Fraction(-1, 3)) == -3
+    # sums, products and quotients that land on an integer come back as ints, never as floats
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(QQ.sub(Fraction(5, 2), Fraction(1, 2))) is int
+    assert type(QQ.mul(Fraction(2, 3), 3)) is int
+    assert type(QQ.div(4, 2)) is int and QQ.div(4, 2) == 2
+    assert QQ.div(1, 2) == Fraction(1, 2) and QQ.parse_coeff("6/3") == 2

@@ -557,6 +557,17 @@ def test_echelon_insert_reports_dependence(p):
         assert ech.contains(vec(p, -p, 2 * p))
 
 
+def test_echelon_over_qq_keeps_integral_values_as_ints():
+    # integral Fractions coming in, and a pivot 1/2 whose inverse 2 is an int
+    ech = Echelon(QQ, 3)
+    assert ech.insert([Fraction(1, 2), Fraction(1, 2), Fraction(4, 2)]) == [1, 1, 4]
+    assert ech.insert([0, Fraction(2, 3), 1]) == [0, 1, Fraction(3, 2)]
+    assert ech.rows == [[1, 0, Fraction(5, 2)], [0, 1, Fraction(3, 2)]]
+    assert ech.reduce([Fraction(6, 3), 0, 1]) == [0, 0, -4]
+    for values in (*ech.rows, ech.reduce([Fraction(6, 3), 0, 1]), ech.reduce([3, Fraction(1, 2), 0])):
+        assert all(type(x) is int or (type(x) is Fraction and x.denominator > 1) for x in values), values
+
+
 @pytest.mark.parametrize("p", FIELD_CHARS, ids=FIELD_IDS)
 def test_echelon_refuses_vectors_of_the_wrong_length(p):
     # Echelon(GF(7), 3).insert([1, 2]) used to store a two-entry row, and

@@ -7,6 +7,7 @@ because several tests want the same handful of quotients.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb
 
 import pytest
@@ -31,8 +32,10 @@ from aciring import (
     squares_ideal,
     variable_sum,
 )
+from aciring import quotient
 from aciring.errors import DegreeCapExceeded, DimensionMismatch, FieldMismatch
-from aciring.linalg import rank
+from aciring.groebner import normal_form
+from aciring.linalg import kernel_basis, rank
 from aciring.quotient import GradedModuleSpan
 from aciring.resolution import gorenstein_presentation
 
@@ -413,6 +416,57 @@ def test_variable_annihilator_is_principal_report():
     assert ok
     # each row records (degree, dim annihilator, dim principal part)
     assert all(a == b for _, a, b in rows)
+
+
+def test_rational_coefficients_are_ints_unless_the_denominator_exceeds_one():
+    # the weighted form 2*x1 + 3*x2 + ... brings denominators into kernels,
+    # normal forms and annihilators; every integral value must still be an int
+    seen = set()
+
+    def check(values, where):
+        for c in values:
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (where, c)
+            seen.add(type(c))
+
+    for label in ("P", "R", "A"):
+        for n in range(2, 6):
+            q = named_quotient(label, n, QQ)
+            weighted = Polynomial(n, QQ, [(tuple(int(j == k) for j in range(n)), k + 2) for k in range(n)])
+            forms = (variable_sum(n, QQ), weighted)
+            for d in range(q.socle_degree() + 1):
+                where = (label, n, d)
+                check((c for i in range(n) for column in q.variable_map(i, d) for _, c in column), where)
+                check(chain.from_iterable(q._echelon(d).rows), where)
+                for f in forms:
+                    check(chain.from_iterable(kernel_basis(q.multiplication_map(f, d), QQ)), where)
+                    check((c for _, c in q.nf(f.power(d).scale(Fraction(1, 3))).terms), where)
+            for f in forms:
+                check((c for g in q.annihilator_of_element(f) for _, c in g.terms), (label, n))
+    assert seen == {int, Fraction}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_a_base_of_squares_reduces_without_polynomial_division(field, monkeypatch):
+    calls = []
+
+    def counted(f, basis):
+        calls.append(f)
+        return normal_form(f, basis)
+
+    gens = {label: named_quotient(label, 5, field).generators for label in ("R", "A")}
+    monkeypatch.setattr(quotient, "normal_form", counted)
+    for label, g in gens.items():
+        q = QuotientRing(g)
+        for d in range(q.socle_degree() + 1):
+            for i in range(5):
+                q.variable_map(i, d)
+        assert q.hilbert_series() == named_quotient(label, 5, field).hilbert_series(), label
+    assert calls == []
+    # a base that is not all monomials, x_i^2 - x_4^2, is still divided
+    cap = 7
+    gens = primed_aci_ideal(4, field)
+    assert QuotientRing(gens, degree_cap=cap).hilbert_series(cap) == _oracle_values(gens, 4, field, cap)
+    assert calls
 
 
 # ---------------------------------------------------------------------------

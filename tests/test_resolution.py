@@ -4,6 +4,7 @@ and the identities relating the tables of R, A and G/J.
 Expected tables are frozen dicts {(i, j): value}.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -286,7 +287,7 @@ def test_ci_differential_is_a_positive_integer_multiple_of_the_koszul_matrix(cha
                                 assert 0 < v < char
                                 ratio = v * pow(int(want[key]), -1, char) % char
                             else:
-                                ratio = v / want[key]
+                                ratio = Fraction(v) / want[key]
                                 assert ratio.denominator == 1 and ratio > 0
                             assert scale.setdefault(j - i, ratio) == ratio, (label, n, U, i, j)
 
