@@ -72,7 +72,6 @@ class QuotientRing:
             else:
                 self._relations.append(g)
         self.base_leads = MonomialIdeal(n, [b.lm for b in self.base])
-        self._base_monomials = MonomialIdeal(n, [b.lm for b in self.base if len(b.terms) == 1])
         self._top_degree = max((g.degree for g in gens), default=1)
         self._columns: dict[int, dict[Mono, int]] = {}
         self._base_nf_cache: dict[Mono, list] = {}
@@ -97,18 +96,11 @@ class QuotientRing:
         return self._columns[d]
 
     def _base_nf(self, m: Mono) -> list:
-        """The monomial m modulo B, as (column, coefficient) pairs in its degree.
-
-        A multiple of a single-term element of B is 0 (for P, R and A, B is
-        the squares, so this is every m outside the columns); any other m
-        is divided by B.
-        """
+        """The monomial m modulo B, as (column, coefficient) pairs in its degree."""
         if m not in self._base_nf_cache:
             index = self._column_index(mono_deg(m))
             if m in index:
                 out = [(index[m], self.field.one())]
-            elif self._base_monomials.contains(m):
-                out = []
             else:  # B is a Gröbner basis, so division by it reduces
                 r = normal_form(Polynomial.monomial(self.n, self.field, m), self.base)
                 out = [(index[t], c) for t, c in r.terms]

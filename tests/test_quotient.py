@@ -32,9 +32,7 @@ from aciring import (
     squares_ideal,
     variable_sum,
 )
-from aciring import quotient
 from aciring.errors import DegreeCapExceeded, DimensionMismatch, FieldMismatch
-from aciring.groebner import normal_form
 from aciring.linalg import kernel_basis, rank
 from aciring.quotient import GradedModuleSpan
 from aciring.resolution import gorenstein_presentation
@@ -443,30 +441,6 @@ def test_rational_coefficients_are_ints_unless_the_denominator_exceeds_one():
             for f in forms:
                 check((c for g in q.annihilator_of_element(f) for _, c in g.terms), (label, n))
     assert seen == {int, Fraction}
-
-
-@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
-def test_a_base_of_squares_reduces_without_polynomial_division(field, monkeypatch):
-    calls = []
-
-    def counted(f, basis):
-        calls.append(f)
-        return normal_form(f, basis)
-
-    gens = {label: named_quotient(label, 5, field).generators for label in ("R", "A")}
-    monkeypatch.setattr(quotient, "normal_form", counted)
-    for label, g in gens.items():
-        q = QuotientRing(g)
-        for d in range(q.socle_degree() + 1):
-            for i in range(5):
-                q.variable_map(i, d)
-        assert q.hilbert_series() == named_quotient(label, 5, field).hilbert_series(), label
-    assert calls == []
-    # a base that is not all monomials, x_i^2 - x_4^2, is still divided
-    cap = 7
-    gens = primed_aci_ideal(4, field)
-    assert QuotientRing(gens, degree_cap=cap).hilbert_series(cap) == _oracle_values(gens, 4, field, cap)
-    assert calls
 
 
 # ---------------------------------------------------------------------------
