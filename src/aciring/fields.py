@@ -155,7 +155,7 @@ def default_characteristic(n: int) -> int:
     included), the n = 8 Koszul table (``betti --method koszul
     --no-cache``) takes 1.2-2.0 s for R (four runs; the table alone takes
     0.90 s, the median of ten benchmark passes) and 0.4-0.6 s for A over
-    GF(32003), against 3.4-3.8 s and 0.4 s over QQ (two runs each).  A is cheap
+    GF(32003), against 3.6-4.4 s (five runs) and 0.5-0.6 s over QQ.  A is cheap
     in both fields because the Koszul route ranks one slice per dual pair
     of a Gorenstein ring; R's table is what the prime still pays for.
     The prime comfortably exceeds every n in scope, matching the standing
