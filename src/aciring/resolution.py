@@ -5,11 +5,14 @@ field over the base: the Koszul complex when the base is the polynomial
 ring, and its extension by divided-power generators when the base is the
 polynomial ring modulo squares of some of the variables (those bases are
 where our modules live; the resolution stays linear and minimal).  Betti
-numbers fall out of ranks of the differentials.  Over the polynomial ring, a
-quotient ring whose socle is one-dimensional in its top degree s (so A, not
-R) is Gorenstein and its Koszul complex is self-dual: slice (i, j) has the
-rank of slice (n - i + 1, n + s - j), and only the cheaper one of each pair
-is ranked.  The route checks the socle itself before it pairs anything.
+numbers fall out of ranks of the differentials.  Each strand j is ranked
+from its highest slice down, and a slice leaves out the columns on which the
+slice above it pivoted: d_i ∘ d_{i+1} = 0, so those columns add no rank.
+Over the polynomial ring, a quotient ring whose socle is one-dimensional in
+its top degree s (so A, not R) is Gorenstein and its Koszul complex is
+self-dual: slice (i, j) has the rank of slice (n - i + 1, n + s - j), and
+only the cheaper one of each pair is ranked.  The route checks the socle
+itself before it pairs anything.
 
 Route two never sees the first construction: on coordinate vectors over the
 base's standard monomials, it extracts minimal generators degree by degree,
@@ -183,16 +186,18 @@ def _variable_map_rows(module, d: int) -> list[tuple[list, list]]:
     return per_module[d]
 
 
-def ci_differential(module: QuotientRing, U: Sequence[int], i: int, j: int):
+def ci_differential(module: QuotientRing, U: Sequence[int], i: int, j: int, drop_columns=()):
     """The degree-j slice of d_i on module ⊗ (resolution of k), sparsely.
 
     Returns (row_entries, nrows, ncols) with row_entries as {row: {col: val}}.
     Rows live in module_{j-i+1} ⊗ gens_{i-1}, columns in module_{j-i} ⊗ gens_i;
     generator a of either side owns the block of rows or columns from
     a * (dimension of its module piece) on, in the order of ``_ci_generators``.
-    The values are ints: over QQ the slice is L_d times the true one, L_d the
+    So the columns of slice (i, j) are the rows of slice (i + 1, j).  The
+    values are ints: over QQ the slice is L_d times the true one, L_d the
     common denominator of the x_t maps out of degree d = j - i (a uniform
     scale, so the rank is the same); over GF(p) they lie in ``range(p)``.
+    The columns in ``drop_columns`` are left empty; the shape stays.
     """
     d = j - i
     into, n_src = _ci_incidence(module.n, tuple(U), i)
@@ -204,11 +209,12 @@ def ci_differential(module: QuotientRing, U: Sequence[int], i: int, j: int):
     if nrows == 0 or ncols == 0:
         return rows, nrows, ncols
     maps = _variable_map_rows(module, d)
+    drop = set(drop_columns)
     for b, incoming in enumerate(into):
         terms = [(a * h_src, maps[t][negative]) for a, t, negative in incoming]
         base = b * h_tgt
         for r in range(h_tgt):
-            row = {col0 + c: v for col0, M in terms for c, v in M[r]}
+            row = {col0 + c: v for col0, M in terms for c, v in M[r] if col0 + c not in drop}
             if row:
                 rows[base + r] = row
     return rows, nrows, ncols
@@ -231,6 +237,18 @@ def ci_resolution_betti(
 
     With U empty this is the resolution over the polynomial ring itself and
     the full table is finite; otherwise the table is cut at the window.
+
+    Each strand j is ranked from its highest slice down.  When the table
+    reads slice (i + 1, j) too, that slice is ranked first, and ``sparse_rank``
+    lists the rows S its rounds pivot on.  Those rows hold a nonsingular
+    block of d_{i+1}, so every vector of Λ^i ⊗ M_{j-i} is a combination of
+    the unit vectors outside S and the image of d_{i+1}.  As d_i kills that
+    image, rank d_i is the rank of its columns outside S, and slice (i, j)
+    is built without them (Kaczynski–Mrozek–Ślusarek, Comput. Math. Appl.
+    35, 1998, reduce a chain complex the same way).  This holds over QQ and
+    GF(p) alike, and for any subset of such an S: the dense kernel's pivots
+    are not listed, and a slice whose rank comes from its dual partner lists
+    none.  A slice past the window is never ranked for the one below it.
 
     With U empty, a ``QuotientRing`` whose socle is one-dimensional and sits
     in its top degree s is Artinian Gorenstein, so its Koszul complex is
@@ -259,7 +277,18 @@ def ci_resolution_betti(
 
     windowed = bool(U) or max_j < max_i + top
     self_dual = not U and isinstance(module, QuotientRing) and module.socle_dimensions() == [0] * top + [1]
+    # (i, j, dimension of the term) for every nonzero term in the window; the
+    # table reads the slices (i, j) and (i + 1, j) of each
+    terms = []
+    for i in range(max_i + 1):
+        gens_i = len(_ci_generators(n, U, i))
+        for j in range(i, min(max_j, i + top) + 1):
+            dim = gens_i * module.hilbert_function(j - i)
+            if dim:
+                terms.append((i, j, dim))
+    needed = {(i + k, j) for i, j, _ in terms for k in (0, 1)}
     rank_cache: dict[tuple[int, int], int] = {}
+    pivot_rows: dict[tuple[int, int], list] = {}
 
     def rank_d(i: int, j: int) -> int:
         # the slice maps module_{j-i} to module_{j-i+1}: zero unless both live
@@ -271,23 +300,22 @@ def ci_resolution_betti(
             if self_dual and (dual_j - dual_i, dual_i) < (j - i, i):
                 rank_cache[key] = rank_d(dual_i, dual_j)
             else:
-                rank_cache[key] = sparse_rank(*ci_differential(module, U, i, j), field)
+                # the columns that carry a pivot of d_{i+1} add no rank to d_i;
+                # past the window, the slice above is not ranked for this
+                above = (i + 1, j)
+                if above in needed:
+                    rank_d(*above)
+                slice_ = ci_differential(module, U, i, j, pivot_rows.pop(above, ()))
+                rank_cache[key] = sparse_rank(*slice_, field, pivot_rows=pivot_rows.setdefault(key, []))
         return rank_cache[key]
 
     entries: dict = {}
-    for i in range(max_i + 1):
-        gens_i = len(_ci_generators(n, U, i))
-        if gens_i == 0:
-            continue
-        for j in range(i, min(max_j, i + top) + 1):
-            dim = gens_i * module.hilbert_function(j - i)
-            if dim == 0:
-                continue
-            b = dim - rank_d(i, j) - rank_d(i + 1, j)
-            if b < 0:
-                raise AssertionError(f"negative Betti number at ({i}, {j}): rank bookkeeping is broken")
-            if b:
-                entries[(i, j)] = b
+    for i, j, dim in terms:
+        b = dim - rank_d(i, j) - rank_d(i + 1, j)
+        if b < 0:
+            raise AssertionError(f"negative Betti number at ({i}, {j}): rank bookkeeping is broken")
+        if b:
+            entries[(i, j)] = b
     window = (max_i, max_j) if windowed else None
     base_label = "Q" if not U else "Q/(" + ", ".join(f"x{t + 1}^2" for t in sorted(U)) + ")"
     return BettiTable(

@@ -94,26 +94,27 @@ def test_table_shape_invariants():
 # ---------------------------------------------------------------------------
 
 
-def ranked_slices(module, U=(), **window) -> tuple[BettiTable, list]:
-    """ci_resolution_betti's table and the (i, j) of each slice it ranked, in order."""
+def ranked_slices(module, U=(), **window) -> tuple[BettiTable, dict]:
+    """ci_resolution_betti's table, and for each slice it ranked, in order, the
+    (i, j) and the columns it left out."""
     ranked = []
 
-    def recording(module, U, i, j):
-        ranked.append((i, j))
-        return ci_differential(module, U, i, j)
+    def recording(module, U, i, j, drop_columns=()):
+        ranked.append(((i, j), list(drop_columns)))
+        return ci_differential(module, U, i, j, drop_columns)
 
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return sparse_rank(*args)
+        return sparse_rank(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(resolution, "ci_differential", recording)
         patch.setattr(resolution, "sparse_rank", counting)
         got = ci_resolution_betti(module, U, **window)
-    assert len(calls) == len(ranked) == len(set(ranked))
-    return got, ranked
+    assert len(calls) == len(ranked) == len(dict(ranked))
+    return got, dict(ranked)
 
 
 def nonzero_slices(module, U, max_i: int, max_j: int) -> set:
@@ -126,6 +127,35 @@ def nonzero_slices(module, U, max_i: int, max_j: int) -> set:
             if nrows and ncols:
                 out.add((i, j))
     return out
+
+
+def read_slices(module, U, max_i: int, max_j: int) -> set:
+    """The slices a table over the window reads: (i, j) and (i + 1, j) for each
+    nonzero term (i, j), where the slice's source degree j - i and target
+    degree j - i + 1 both lie in 0..top."""
+    top = module.socle_degree()
+    out = set()
+    for i in range(max_i + 1):
+        for j in range(i, min(max_j, i + top) + 1):
+            if len(koszul_generators(module.n, U, i)) * module.hilbert_function(j - i):
+                out.update((k, j) for k in (i, i + 1) if k >= 1 and 0 <= j - k < top)
+    return out
+
+
+def modules_up_to_six(field):
+    """P, R, A and G/J at n = 2..6 over the field."""
+    for n in range(2, 7):
+        P, gens = resolution.gorenstein_presentation(n, field)
+        yield named_quotient("P", n, field)
+        yield named_quotient("R", n, field)
+        yield named_quotient("A", n, field)
+        yield GradedModuleSpan(P, [g for g in gens if P.nf(g)], name="G/J")
+
+
+def bases_and_windows(module) -> list:
+    """The polynomial ring, and the squares of the last variable with the window n, 2n."""
+    n = module.n
+    return [((), {}), ((n - 1,), {"max_i": n, "max_j": 2 * n})]
 
 
 def xy_ring() -> QuotientRing:
@@ -166,22 +196,75 @@ def test_a_symmetric_h_vector_alone_does_not_pair_the_slices():
 def test_rank_calls_of_the_koszul_route(monkeypatch):
     # counted, not timed: A at n = 6 ranks 14 slices where ranking all takes 28
     A = named_quotient("A", 6, QQ)
-    assert len(ranked_slices(A)[1]) == 14
+    n, s = 6, A.socle_degree()
+    ranked = ranked_slices(A)[1]
+    assert len(ranked) == 14
+    assert set(ranked) == {(i, j) for i, j in read_slices(A, (), n, n + s) if (s - j + i - 1, n - i + 1) >= (j - i, i)}
     monkeypatch.setattr(A, "socle_dimensions", lambda: [0, 0, 0, 0, 2])
-    assert len(ranked_slices(A)[1]) == 28
+    assert set(ranked_slices(A)[1]) == read_slices(A, (), n, n + s)
     monkeypatch.undo()
-    # every other module, and every nonempty base, ranks each slice
+    # every other module, and every nonempty base, ranks each slice the table
+    # reads, and no other: a slice ranked first for the one below it is one
+    # the table reads anyway, also where the window cuts an endless complex
     R = named_quotient("R", 6, QQ)
     assert R.socle_dimensions() == [0, 0, 0, 14]
     P, gens = resolution.gorenstein_presentation(6, QQ)
     gj = GradedModuleSpan(P, [g for g in gens if P.nf(g)], name="G/J")
+    counts = []
     for module in (R, xy_ring(), gj):
         n, top = module.n, module.socle_degree()
-        assert nonzero_slices(module, (), n, n + top) <= set(ranked_slices(module)[1])
-    for module in (A, named_quotient("A", 5, QQ)):
+        ranked = ranked_slices(module)[1]
+        assert set(ranked) == read_slices(module, (), n, n + top) >= nonzero_slices(module, (), n, n + top)
+        counts.append(len(ranked))
+    for module in (A, named_quotient("A", 5, QQ), named_quotient("P", 6, QQ)):
         n = module.n
-        _, ranked = ranked_slices(module, (n - 1,), max_i=n, max_j=2 * n)
-        assert nonzero_slices(module, (n - 1,), n, 2 * n) <= set(ranked)
+        ranked = ranked_slices(module, (n - 1,), max_i=n, max_j=2 * n)[1]
+        assert set(ranked) == read_slices(module, (n - 1,), n, 2 * n) >= nonzero_slices(module, (n - 1,), n, 2 * n)
+        counts.append(len(ranked))
+    assert counts == [21, 6, 28, 28, 18, 42]
+
+
+@pytest.mark.parametrize("p", [0, 32003], ids=["QQ", "GF32003"])
+def test_consecutive_koszul_slices_compose_to_zero(p):
+    # d_i · d_{i+1} = 0, slice by slice, on the polynomial ring and over the
+    # square of the last variable: what lets a slice leave out the pivot
+    # columns of the slice above it
+    field = GF(p) if p else QQ
+    products = 0
+    for module in modules_up_to_six(field):
+        n, top = module.n, module.socle_degree()
+        for U in ((), (n - 1,)):
+            for i in range(1, n + 2):
+                for j in range(i + 1, i + top):
+                    low, *_ = ci_differential(module, U, i, j)
+                    high, *_ = ci_differential(module, U, i + 1, j)
+                    product: dict = {}
+                    for r, row in low.items():
+                        for k, v in row.items():
+                            for c, w in high.get(k, {}).items():
+                                product[r, c] = product.get((r, c), 0) + v * w
+                    products += bool(product)
+                    assert not any(x % p if p else x for x in product.values()), (module.name, n, U, i, j)
+    assert products > 200
+
+
+@pytest.mark.parametrize("p", [0, 32003], ids=["QQ", "GF32003"])
+def test_a_slice_without_the_pivot_columns_above_it_keeps_its_rank(p):
+    # every slice that the route ranks with columns left out, against the
+    # whole slice; and the tables of R and A against the formula
+    field = GF(p) if p else QQ
+    narrowed = 0
+    for module in modules_up_to_six(field):
+        for U, window in bases_and_windows(module):
+            got, ranked = ranked_slices(module, U, **window)
+            if not U and module.name in ("R", "A"):
+                assert got == betti_table_formula(module.name, module.n)
+            for (i, j), drop in ranked.items():
+                if drop:
+                    narrowed += 1
+                    whole = sparse_rank(*ci_differential(module, U, i, j), field)
+                    assert sparse_rank(*ci_differential(module, U, i, j, drop), field) == whole, (module.name, U, i, j)
+    assert narrowed > 200
 
 
 # ---------------------------------------------------------------------------
