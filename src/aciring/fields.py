@@ -152,12 +152,13 @@ def default_characteristic(n: int) -> int:
     Rank computations at n = 8 get large enough that the single-large-prime
     path is the practical default; callers can always force characteristic 0.
     Measured on a 2-CPU machine (process start and ring construction
-    included), the n = 8 Koszul table (``betti --method koszul
-    --no-cache``) takes 1.2-2.0 s for R (four runs; the table alone takes
-    0.90 s, the median of ten benchmark passes) and 0.4-0.6 s for A over
-    GF(32003), against 3.6-4.4 s (five runs) and 0.5-0.6 s over QQ.  A is cheap
-    in both fields because the Koszul route ranks one slice per dual pair
-    of a Gorenstein ring; R's table is what the prime still pays for.
+    included, two runs each), the n = 8 Koszul table (``betti --method
+    koszul --no-cache``) takes 0.55-0.82 s for R (the table alone takes
+    0.53 s, the median of ten benchmark runs) and 0.37-0.40 s for A over
+    GF(32003), against 1.2-1.4 s and 0.39-0.45 s over QQ.  A is cheap in
+    both fields because the Koszul route ranks one slice per dual pair of a
+    Gorenstein ring, and R's slices leave out the columns that the slice
+    above pivots on; R's table over QQ is what the prime still saves.
     The prime comfortably exceeds every n in scope, matching the standing
     hypothesis that the characteristic is zero or larger than n.
     """
