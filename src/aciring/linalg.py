@@ -27,9 +27,9 @@ row-recursive reduced echelon form in place whose work is ``gf_matmul``
 products of the rank's size, with leaves of at most 8 rows (Dumas-Giorgi-
 Pernet, TOMS 35, 2008; Jeannerod-Pernet-Storjohann, JSC 56, 2013).  Each
 product is exact in float64 over chunks of floor((2^53 - 1) / (p-1)^2)
-columns and reduced mod p at once.  On request (``pivot_rows``),
-``sparse_rank`` also lists the rows its rounds pivot on: the Koszul route
-leaves those columns out of the slice below.
+columns and reduced mod p at once.  On request (``pivot_cols``),
+``sparse_rank`` also lists the columns its rounds pivot on: the Koszul route
+ranks each slice's transpose and leaves those out of the slice below.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ _ROUND_PIVOTS = 1 << 22
 _DENSE_SHARE = 0.15
 
 
-def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field, *, pivot_rows: list | None = None) -> int:
+def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field, *, pivot_cols: list | None = None) -> int:
     """Rank of a sparse matrix given as {row: {col: value}}; the dict is left as it is.
 
     Structured elimination in rounds on flat (row, col, value) arrays.  Each
@@ -147,11 +147,11 @@ def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field, *, pivo
     left goes to the field's dense kernel, ``gf_rank`` or ``qq_rank``, longer
     side as rows.
 
-    A ``pivot_rows`` list is extended with the rows the rounds pivot on, as
-    ints.  They are distinct, and the matrix restricted to them has full row
-    rank: with the rounds' pivot columns they hold a nonsingular block.  The
-    dense kernel's pivots are not listed, so there may be fewer of them than
-    the rank.
+    A ``pivot_cols`` list is extended with the columns the rounds pivot on,
+    as ints.  They are distinct, and the matrix restricted to them has full
+    column rank: with the rounds' pivot rows they hold a nonsingular block.
+    The dense kernel's pivots are not listed, so there may be fewer of them
+    than the rank.
     """
     p = field.characteristic
     if not p:
@@ -164,8 +164,8 @@ def sparse_rank(row_entries: dict, nrows: int, ncols: int, field: Field, *, pivo
         if piv is None:
             break
         rk += piv.size
-        if pivot_rows is not None:
-            pivot_rows.extend(r[piv].tolist())
+        if pivot_cols is not None:
+            pivot_cols.extend(c[piv].tolist())
         r, c, v = _schur_step(r, c, v, piv, nrows, ncols, p)
     if not v.size:
         return rk

@@ -5,9 +5,10 @@ field over the base: the Koszul complex when the base is the polynomial
 ring, and its extension by divided-power generators when the base is the
 polynomial ring modulo squares of some of the variables (those bases are
 where our modules live; the resolution stays linear and minimal).  Betti
-numbers fall out of ranks of the differentials.  Each strand j is ranked
-from its highest slice down, and a slice leaves out the columns on which the
-slice above it pivoted: d_i ∘ d_{i+1} = 0, so those columns add no rank.
+numbers fall out of ranks of the differentials, read as sparse columns off
+the module's variable maps.  Each strand j is ranked from its highest slice
+down, and a slice leaves out the columns that are pivot rows of the slice
+above it: d_i ∘ d_{i+1} = 0, so those columns add no rank.
 Over the polynomial ring, a quotient ring whose socle is one-dimensional in
 its top degree s (so A, not R) is Gorenstein and its Koszul complex is
 self-dual: slice (i, j) has the rank of slice (n - i + 1, n + s - j), and
@@ -25,9 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import lcm
 from typing import Sequence
-from weakref import WeakKeyDictionary
 
 from .errors import BoundTooSmall
 from .fields import QQ
@@ -118,6 +117,8 @@ class BettiTable:
 
 
 def _ci_generators(n: int, U: Sequence[int], i: int) -> list[tuple[tuple, tuple]]:
+    if len(set(U)) != len(U):
+        raise ValueError(f"the base squares a variable twice: U = {tuple(U)}")
     out = []
     for k in range(i // 2 + 1):
         q = i - 2 * k
@@ -135,89 +136,56 @@ def _remove_once(s: tuple, t: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _ci_incidence(n: int, U: tuple, i: int) -> tuple[tuple, int]:
-    """d_i on the generators: per target generator, its (source, t, negative) terms.
+def _ci_boundary(n: int, U: tuple, i: int) -> tuple[tuple, int]:
+    """d_i on the generators: per source generator, its (target, t, negative) terms.
 
     e_S z^(s) maps to the sum over t in S of (-1)^(position of t in S)
     x_t e_(S-t) z^(s), plus the sum over t in s outside S of
     (-1)^(|S| + #{u in S : u > t}) x_t e_(S+t) z^(s-t).  Each pair of
     generators is joined by at most one t.  Also returns the number of
-    source generators.
+    target generators.
     """
-    gens_src = _ci_generators(n, U, i)
     gens_tgt = _ci_generators(n, U, i - 1)
     tgt_index = {g: b for b, g in enumerate(gens_tgt)}
-    into: list[list] = [[] for _ in gens_tgt]
-    for a, (S, s) in enumerate(gens_src):
-        for pos, t in enumerate(S):
-            into[tgt_index[(S[:pos] + S[pos + 1:], s)]].append((a, t, pos % 2))
+    boundary = []
+    for S, s in _ci_generators(n, U, i):
+        faces = [(tgt_index[(S[:pos] + S[pos + 1:], s)], t, pos % 2) for pos, t in enumerate(S)]
         for t in sorted(set(s) - set(S)):
             above = sum(1 for u in S if u > t)
-            into[tgt_index[(tuple(sorted(S + (t,))), _remove_once(s, t))]].append((a, t, (len(S) + above) % 2))
-    return tuple(map(tuple, into)), len(gens_src)
-
-
-# module -> {d: [(rows of x_t from degree d, the same rows negated) for each t]}
-_map_rows_cache: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _variable_map_rows(module, d: int) -> list[tuple[list, list]]:
-    """Every x_t map out of degree d as sparse integer rows: (column, value) lists.
-
-    The rows are the module's ``variable_map`` columns transposed.  Over QQ
-    all the degree-d maps are scaled by L_d, the least common denominator of
-    their entries; over GF(p) values stay in ``range(p)`` and the negated
-    rows hold p - v.  Built once per module and degree.
-    """
-    per_module = _map_rows_cache.setdefault(module, {})
-    if d not in per_module:
-        p = module.field.characteristic
-        maps = [module.variable_map(t, d) for t in range(module.n)]
-        scale = 1 if p else lcm(*(v.denominator for columns in maps for column in columns for _, v in column))
-        h_tgt = module.hilbert_function(d + 1)
-        out = []
-        for columns in maps:
-            pos: list[list] = [[] for _ in range(h_tgt)]
-            for c, column in enumerate(columns):
-                for r, v in column:
-                    pos[r].append((c, int(v * scale)))
-            out.append((pos, [[(c, p - v if p else -v) for c, v in row] for row in pos]))
-        per_module[d] = out
-    return per_module[d]
+            faces.append((tgt_index[(tuple(sorted(S + (t,))), _remove_once(s, t))], t, (len(S) + above) % 2))
+        boundary.append(tuple(faces))
+    return tuple(boundary), len(gens_tgt)
 
 
 def ci_differential(module: QuotientRing, U: Sequence[int], i: int, j: int, drop_columns=()):
-    """The degree-j slice of d_i on module ⊗ (resolution of k), sparsely.
+    """The degree-j slice of d_i on module ⊗ (resolution of k), as sparse columns.
 
-    Returns (row_entries, nrows, ncols) with row_entries as {row: {col: val}}.
-    Rows live in module_{j-i+1} ⊗ gens_{i-1}, columns in module_{j-i} ⊗ gens_i;
-    generator a of either side owns the block of rows or columns from
-    a * (dimension of its module piece) on, in the order of ``_ci_generators``.
-    So the columns of slice (i, j) are the rows of slice (i + 1, j).  The
-    values are ints: over QQ the slice is L_d times the true one, L_d the
-    common denominator of the x_t maps out of degree d = j - i (a uniform
-    scale, so the rank is the same); over GF(p) they lie in ``range(p)``.
-    The columns in ``drop_columns`` are left empty; the shape stays.
+    Returns (column_entries, ncols, nrows), column_entries as {col: {row: val}}:
+    ``sparse_rank`` ranks the slice's transpose, of the same rank.  Columns
+    live in module_{j-i} ⊗ gens_i, rows in module_{j-i+1} ⊗ gens_{i-1};
+    generator a of either side owns the block from a * (dimension of its
+    module piece) on, in the order of ``_ci_generators``.  So the columns of
+    slice (i, j) are the rows of slice (i + 1, j).  The values are the
+    ``variable_map`` entries, negated as p - v (-v over QQ, where p = 0).
+    The columns in ``drop_columns`` are left out; the shape stays.
     """
     d = j - i
-    into, n_src = _ci_incidence(module.n, tuple(U), i)
-    h_src = module.hilbert_function(d) if d >= 0 else 0
-    h_tgt = module.hilbert_function(d + 1) if d + 1 >= 0 else 0
-    nrows = len(into) * h_tgt
-    ncols = n_src * h_src
-    rows: dict = {}
-    if nrows == 0 or ncols == 0:
-        return rows, nrows, ncols
-    maps = _variable_map_rows(module, d)
-    drop = set(drop_columns)
-    for b, incoming in enumerate(into):
-        terms = [(a * h_src, maps[t][negative]) for a, t, negative in incoming]
-        base = b * h_tgt
-        for r in range(h_tgt):
-            row = {col0 + c: v for col0, M in terms for c, v in M[r] if col0 + c not in drop}
-            if row:
-                rows[base + r] = row
-    return rows, nrows, ncols
+    boundary, n_tgt = _ci_boundary(module.n, tuple(U), i)
+    h_src, h_tgt = module.hilbert_function(d), module.hilbert_function(d + 1)
+    columns: dict = {}
+    if h_src and h_tgt:
+        p = module.field.characteristic
+        maps = [module.variable_map(t, d) for t in range(module.n)]
+        drop = set(drop_columns)
+        for a, faces in enumerate(boundary):
+            base = a * h_src
+            terms = [(b * h_tgt, maps[t], negative) for b, t, negative in faces]
+            for c in range(h_src):
+                if base + c not in drop:
+                    column = {row0 + r: p - v if negative else v for row0, M, negative in terms for r, v in M[c]}
+                    if column:
+                        columns[base + c] = column
+    return columns, len(boundary) * h_src, n_tgt * h_tgt
 
 
 def _square_kills(module, t: int, top: int) -> bool:
@@ -238,11 +206,12 @@ def ci_resolution_betti(
     With U empty this is the resolution over the polynomial ring itself and
     the full table is finite; otherwise the table is cut at the window.
 
-    Each strand j is ranked from its highest slice down.  When the table
-    reads slice (i + 1, j) too, that slice is ranked first, and ``sparse_rank``
-    lists the rows S its rounds pivot on.  Those rows hold a nonsingular
-    block of d_{i+1}, so every vector of Λ^i ⊗ M_{j-i} is a combination of
-    the unit vectors outside S and the image of d_{i+1}.  As d_i kills that
+    Each strand j is ranked from its highest slice down, each slice as the
+    transpose ``ci_differential`` returns.  When the table reads slice
+    (i + 1, j) too, that slice is ranked first, and ``sparse_rank`` lists the
+    columns S its rounds pivot on, rows of d_{i+1} that hold a nonsingular
+    block of it.  So every vector of Λ^i ⊗ M_{j-i} is a combination of the
+    unit vectors outside S and the image of d_{i+1}.  As d_i kills that
     image, rank d_i is the rank of its columns outside S, and slice (i, j)
     is built without them (Kaczynski–Mrozek–Ślusarek, Comput. Math. Appl.
     35, 1998, reduce a chain complex the same way).  This holds over QQ and
@@ -288,7 +257,7 @@ def ci_resolution_betti(
                 terms.append((i, j, dim))
     needed = {(i + k, j) for i, j, _ in terms for k in (0, 1)}
     rank_cache: dict[tuple[int, int], int] = {}
-    pivot_rows: dict[tuple[int, int], list] = {}
+    pivot_cols: dict[tuple[int, int], list] = {}
 
     def rank_d(i: int, j: int) -> int:
         # the slice maps module_{j-i} to module_{j-i+1}: zero unless both live
@@ -300,13 +269,13 @@ def ci_resolution_betti(
             if self_dual and (dual_j - dual_i, dual_i) < (j - i, i):
                 rank_cache[key] = rank_d(dual_i, dual_j)
             else:
-                # the columns that carry a pivot of d_{i+1} add no rank to d_i;
+                # the rows that carry a pivot of d_{i+1} add no rank to d_i;
                 # past the window, the slice above is not ranked for this
                 above = (i + 1, j)
                 if above in needed:
                     rank_d(*above)
-                slice_ = ci_differential(module, U, i, j, pivot_rows.pop(above, ()))
-                rank_cache[key] = sparse_rank(*slice_, field, pivot_rows=pivot_rows.setdefault(key, []))
+                slice_ = ci_differential(module, U, i, j, pivot_cols.pop(above, ()))
+                rank_cache[key] = sparse_rank(*slice_, field, pivot_cols=pivot_cols.setdefault(key, []))
         return rank_cache[key]
 
     entries: dict = {}

@@ -339,6 +339,14 @@ def _checked_rounds(mp, log):
     mp.setattr(linalg, "_round_pivots", checked)
 
 
+def _transpose(rows: dict) -> dict:
+    out: dict = {}
+    for i, cs in rows.items():
+        for j, x in cs.items():
+            out.setdefault(j, {})[i] = x
+    return out
+
+
 @st.composite
 def _sparse_matrix(draw, p):
     """{row: {col: value}} of up to 14 x 14 with values over GF(p) or QQ:
@@ -372,12 +380,14 @@ def test_round_pivots_span_a_diagonal_block(p, data):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_sparse_rank_lists_pivot_rows_of_full_row_rank(p, data):
-    # the listed rows are distinct ints, no more than the rank, independent
-    # in the matrix, and asking for them does not change the rank
+    # ranked as its transpose, the way the Koszul route ranks a slice: the
+    # transpose's listed pivot columns are distinct ints, no more than the
+    # rank, independent rows of the matrix, and asking for them does not
+    # change the rank
     rows, nrows, ncols = data.draw(_sparse_matrix(p))
     field = GF(p) if p else QQ
     listed = []
-    rk = sparse_rank(rows, nrows, ncols, field, pivot_rows=listed)
+    rk = sparse_rank(_transpose(rows), ncols, nrows, field, pivot_cols=listed)
     assert rk == sparse_rank(rows, nrows, ncols, field)
     assert all(type(k) is int for k in listed)
     assert len(set(listed)) == len(listed) <= rk
@@ -387,11 +397,12 @@ def test_sparse_rank_lists_pivot_rows_of_full_row_rank(p, data):
 
 @pytest.mark.parametrize("p", [0, 32003], ids=["QQ", "GF32003"])
 def test_sparse_rank_extends_a_given_pivot_row_list(p):
-    # the rounds take a diagonal of ones whole, and its rows are appended
+    # the rounds take a diagonal of ones whole; ranked as the transpose of
+    # a 6 x 5 matrix, its pivot columns, the matrix's rows, are appended
     # after what the list already holds
     rows = {r: {r: 1} for r in range(5)}
     listed = ["kept"]
-    assert sparse_rank(rows, 6, 5, GF(p) if p else QQ, pivot_rows=listed) == 5
+    assert sparse_rank(_transpose(rows), 5, 6, GF(p) if p else QQ, pivot_cols=listed) == 5
     assert listed[0] == "kept" and sorted(listed[1:]) == [0, 1, 2, 3, 4]
 
 
@@ -422,14 +433,14 @@ def test_sparse_rank_through_a_tail_just_under_the_dense_share(monkeypatch, p):
     assert len(tail) >= 6 and all(piv <= 2 * blocks for piv in tail), log
 
 
-@pytest.mark.parametrize("p, most", [(32003, 66), (0, 163)], ids=["GF32003", "QQ"])
+@pytest.mark.parametrize("p, most", [(32003, 66), (0, 159)], ids=["GF32003", "QQ"])
 def test_rounds_of_r_at_n7(monkeypatch, p, most):
-    # the rounds that take pivots in R's Koszul table at n = 7.  Over GF(p)
-    # each round goes on choosing pivots that the earlier ones leave free,
-    # where one pass per round takes 108 rounds; over QQ a round is one pass.
-    # Each slice leaves out the columns that carry the pivots of the slice
-    # above it: ranked whole, the slices take 75 rounds over GF(p) and 208
-    # over QQ
+    # the rounds that take pivots in R's Koszul table at n = 7, each slice
+    # ranked as its transpose.  Over GF(p) each round goes on choosing pivots
+    # that the earlier ones leave free, where one pass per round takes 84
+    # rounds; over QQ a round is one pass.  Each slice leaves out the columns
+    # that carry the pivots of the slice above it: ranked whole, the slices
+    # take 75 rounds over GF(p) and 212 over QQ
     rounds = []
     search = linalg._round_pivots
     monkeypatch.setattr(linalg, "_round_pivots", lambda *a: rounds.append(search(*a)) or rounds[-1])

@@ -239,9 +239,9 @@ def test_consecutive_koszul_slices_compose_to_zero(p):
                     low, *_ = ci_differential(module, U, i, j)
                     high, *_ = ci_differential(module, U, i + 1, j)
                     product: dict = {}
-                    for r, row in low.items():
-                        for k, v in row.items():
-                            for c, w in high.get(k, {}).items():
+                    for c, column in high.items():
+                        for k, w in column.items():
+                            for r, v in low.get(k, {}).items():
                                 product[r, c] = product.get((r, c), 0) + v * w
                     products += bool(product)
                     assert not any(x % p if p else x for x in product.values()), (module.name, n, U, i, j)
@@ -356,9 +356,9 @@ def test_ci_differential_is_a_positive_integer_multiple_of_the_koszul_matrix(cha
                 scale = {}
                 for i in range(1, n + 3):
                     for j in range(i, i + top):
-                        rows, nrows, ncols = ci_differential(module, U, i, j)
+                        columns, ncols, nrows = ci_differential(module, U, i, j)
                         want = koszul_slice(module, U, i, j)
-                        got = {(r, c): v for r, cs in rows.items() for c, v in cs.items()}
+                        got = {(r, c): v for c, rs in columns.items() for r, v in rs.items()}
                         assert (nrows, ncols) == (
                             len(koszul_generators(n, U, i - 1)) * module.hilbert_function(j - i + 1),
                             len(koszul_generators(n, U, i)) * module.hilbert_function(j - i),
@@ -373,6 +373,8 @@ def test_ci_differential_is_a_positive_integer_multiple_of_the_koszul_matrix(cha
                                 ratio = Fraction(v) / want[key]
                                 assert ratio.denominator == 1 and ratio > 0
                             assert scale.setdefault(j - i, ratio) == ratio, (label, n, U, i, j)
+                # the slices carry the variable maps' own values
+                assert set(scale.values()) <= {1}, (label, n, U)
 
 
 def test_ci_resolution_betti_of_a_module_span_over_a_hypersurface():
@@ -404,6 +406,40 @@ def test_ci_resolution_betti_refuses_a_square_that_does_not_kill_the_module():
     assert ci_resolution_betti(GradedModuleSpan(cubes, [x1]), U=(0,), max_i=2, max_j=6).get(0, 1) == 1
 
 
+def test_ci_resolution_betti_refuses_a_variable_repeated_in_the_base():
+    # a square listed twice would give its divided power generator twice and
+    # read beta_{2,2} = 1 and beta_{2,3} = 5 off R at n = 3; listed once it
+    # gives no beta_{2,2} and beta_{2,3} = 2
+    R3 = ring("R", 3)
+    once = ci_resolution_betti(R3, U=(2,), max_i=3, max_j=5)
+    assert (once.get(2, 2), once.get(2, 3)) == (0, 2)
+    for U in ((2, 2), (0, 2, 0)):
+        with pytest.raises(ValueError, match="twice"):
+            ci_resolution_betti(R3, U=U, max_i=3, max_j=5)
+    with pytest.raises(ValueError, match="twice"):
+        ci_differential(R3, (1, 1), 2, 3)
+
+
+def test_koszul_route_on_variable_maps_with_fractions():
+    # over QQ this ring's variable maps hold four Fractions: the slices carry
+    # them exactly, and its table is the one mod p and the one of route two
+    gens = ("x1^2", "x2^2", "x3^2", "x4^2", "2*x1*x2 + x3*x4", "3*x1*x3 - x2*x4")
+    over_qq = QuotientRing([parse_poly(g, 4, QQ) for g in gens])
+    over_gf = QuotientRing([parse_poly(g, 4, GF(32003)) for g in gens])
+    top = over_qq.socle_degree()
+    maps = [over_qq.variable_map(t, d) for t in range(4) for d in range(top)]
+    assert sum(type(v) is Fraction for columns in maps for column in columns for _, v in column) == 4
+    for U in ((), (3,)):
+        for i in range(1, 6):
+            for j in range(i, i + top):
+                columns, ncols, nrows = ci_differential(over_qq, U, i, j)
+                got = {(r, c): v for c, rs in columns.items() for r, v in rs.items()}
+                assert got == koszul_slice(over_qq, U, i, j), (U, i, j)
+    table = koszul_betti(over_qq)
+    assert table == koszul_betti(over_gf)
+    assert table == syzygy_betti(QuotientRing((), n=4, field=QQ, name="Q"), over_qq, 4, 4 + top)
+
+
 def test_syzygy_over_hypersurface_matches_one_variable_down():
     x3sq = Polynomial.monomial(3, QQ, (0, 0, 2))
     T = QuotientRing([x3sq], name="T")
@@ -426,7 +462,7 @@ def test_syzygy_over_all_squares_strand():
 def test_syzygy_over_polynomial_ring_agrees_with_koszul():
     Q4 = QuotientRing((), n=4, field=QQ, name="Q")
     assert syzygy_betti(Q4, ring("A", 4), 4, 6) == table("A", 4)
-    # its variable maps have denominators 2 and 3, so its Koszul slices are scaled
+    # its variable maps have denominators 2 and 3, which its Koszul slices carry as they are
     gens = [parse_poly(s, 3, QQ) for s in ("2*x1*x2 + x3^2", "x1^2", "x2^2", "3*x1*x3 - x2*x3 + x3^2")]
     mixed = QuotientRing(gens)
     assert koszul_betti(mixed).entries == R3_TABLE
