@@ -7,10 +7,12 @@ Buchberger's first criterion, so reducing modulo B needs no elimination
 monomials outside in(B), in descending grevlex order, and I_d modulo B is
 kept in reduced echelon form over them, built from x_k times the rows of
 degree d-1 and the degree-d generators.  The pivots are in(I)_d outside
-in(B), the other columns are the standard monomials, and reducing against
-the form gives normal forms: the Macaulay-matrix view of Gröbner bases
-(Lazard, EUROCAL '83; Faugère's F4, JPAA 139, 1999).  A degree cap stops
-the elimination; see ``QuotientRing.is_complete``.
+in(B), the other columns are the standard monomials: the Macaulay-matrix
+view of Gröbner bases (Lazard, EUROCAL '83; Faugère's F4, JPAA 139, 1999).
+The form is reduced, so normal forms need no elimination: a standard column
+is its own basis element and a pivot column is minus its row's standard
+entries, and nf(m) is the sum of those over m's terms modulo B.  A degree
+cap stops the elimination; see ``QuotientRing.is_complete``.
 
 Subspaces of the ring grow by the same rule: the degree-d piece of an ideal
 is x_1..x_n times its degree-(d-1) piece plus its degree-d generators.
@@ -22,6 +24,12 @@ That is the package's one format for linear maps (see :mod:`.linalg`).
 the annihilator of an element and a ``GradedModuleSpan`` are built with it.
 ``multiplication_map(f, d)`` gives multiplication by any homogeneous f in
 the same format, composed from the variable maps by Horner's rule.
+
+The annihilator ``annihilator_of_element(f)`` keeps, per degree, the span
+of the kernel in reduced echelon form.  In a ring whose ideal is its base,
+that span is the form of the quotient by the colon, which
+``_take_colon`` hands to that quotient instead of rebuilding it: A takes
+its forms from ann_P(h^2).
 """
 
 from __future__ import annotations
@@ -76,6 +84,8 @@ class QuotientRing:
         self._columns: dict[int, dict[Mono, int]] = {}
         self._base_nf_cache: dict[Mono, list] = {}
         self._forms: dict[int, Echelon] = {}
+        self._nf_columns: dict[int, list] = {}
+        self._colon_spans: dict[Polynomial, dict[int, Echelon]] = {}
         self._basis_cache: dict[int, tuple[Mono, ...]] = {}
         self._varmap_cache: dict[tuple[int, int], list] = {}
 
@@ -84,6 +94,28 @@ class QuotientRing:
         if f.n != self.n:
             raise DimensionMismatch(f"a polynomial in {f.n} variables, in a ring in {self.n}")
         check_same_field(f.field, self.field)
+
+    def _take_colon(self, q: QuotientRing, f: Polynomial) -> None:
+        """Take this ring's echelon forms from the colon ``q.annihilator_of_element(f)``.
+
+        This ring is presented by q's generators and the colon's lifts, as A
+        is by P's.  When q's ideal is its base B and B is this ring's base
+        too, q's basis(d) is this ring's degree-d columns, and the colon's
+        degree-d span, ann_q(f)_d in reduced echelon form, is I_d modulo B
+        in reduced echelon form: this ring's form, since that form is
+        unique.  The two rings then share their column and base tables too.
+        Under a cap only the degrees through it are taken; the degrees above
+        are refused or derived as before.  When the bases differ (A at n = 2,
+        whose lifts are monomials) nothing is taken.
+        """
+        if q._relations or q.n != self.n or q.field != self.field or q.base != self.base:
+            return
+        self._columns = q._columns
+        self._base_nf_cache = q._base_nf_cache
+        cap = self.degree_cap
+        for d, span in q._colon_spans.get(f, {}).items():
+            if cap is None or d <= cap:
+                self._forms[d] = span
 
     # -- the echelon forms -------------------------------------------------
 
@@ -137,11 +169,44 @@ class QuotientRing:
             self._forms[d] = form
         return self._forms[d]
 
+    def _column_normal_forms(self, d: int) -> list:
+        """nf of each degree-d column, as (position in ``basis(d)``, coefficient) pairs.
+
+        A standard column is its own basis element.  A row of the form has a
+        1 at its pivot and a 0 at every other pivot, so the pivot column is
+        minus the row's standard entries.
+        """
+        if d not in self._nf_columns:
+            form = self._echelon(d)
+            one, p = self.field.one(), self.field.characteristic
+            pivots = set(form.pivots)
+            standard = [j for j in range(form.ncols) if j not in pivots]
+            table: list = [None] * form.ncols
+            for at, j in enumerate(standard):
+                table[j] = [(at, one)]
+            for j, row in zip(form.pivots, form.rows):
+                table[j] = [(at, p - row[k] if p else -row[k]) for at, k in enumerate(standard) if row[k]]
+            self._nf_columns[d] = table
+        return self._nf_columns[d]
+
+    def _normal_forms(self, d: int, sums) -> list:
+        """nf of each sum of degree-d terms, as sparse columns over ``basis(d)``.
+
+        Each monomial goes to its columns modulo B (``_base_nf``) and each
+        column to its normal form (``_column_normal_forms``): no elimination.
+        """
+        inner = [[(j, c * c2) for m, c in terms for j, c2 in self._base_nf(m)] for terms in sums]
+        return compose([(self._column_normal_forms(d), inner)], self.field)
+
     def _reduce(self, d: int, terms) -> list:
-        """Coordinates in ``basis(d)`` of the normal form of a sum of degree-d terms."""
-        index = self._column_index(d)
-        v = self._echelon(d).reduce(self._vector(d, terms))
-        return [v[index[m]] for m in self.basis(d)]
+        """Coordinates in ``basis(d)`` of the normal form of a sum of degree-d terms.
+
+        The dense form of ``_normal_forms``, the one normal-form rule.
+        """
+        vec = [self.field.zero()] * self.hilbert_function(d)
+        for at, c in self._normal_forms(d, [terms])[0]:
+            vec[at] = c
+        return vec
 
     def initial_generators(self, through: int) -> tuple[Mono, ...]:
         """Minimal generators of in(I): those of in(B), and the pivots through the given degree."""
@@ -265,24 +330,30 @@ class QuotientRing:
         products = ((self.variable_map(i, d + e - 1), self._product_map(part, e - 1, d)) for i, part in parts.items())
         return compose(products, self.field)
 
+    def _check_variable(self, i: int) -> None:
+        if i not in range(self.n):
+            raise DimensionMismatch(f"variable index {i} in a ring in {self.n} variables")
+
     def variable_map(self, i: int, d: int) -> list:
         """Multiplication by x_i from degree d to degree d + 1, as sparse columns.
 
         One list per monomial m of ``basis(d)``, in order, holding the
         (position in ``basis(d + 1)``, coefficient) pairs of nf(x_i·m) with
-        nonzero coefficients.  Built once per ring, variable and degree.
+        nonzero coefficients, read off the pivot rows (``_normal_forms``).
+        Built once per ring, variable and degree.  An index outside
+        ``range(n)`` raises ``DimensionMismatch``.
         """
+        self._check_variable(i)
         key = (i, d)
         if key not in self._varmap_cache:
             one = self.field.one()
-            self._varmap_cache[key] = [
-                [(r, c) for r, c in enumerate(self._reduce(d + 1, [(m[:i] + (m[i] + 1,) + m[i + 1:], one)])) if c]
-                for m in self.basis(d)
-            ]
+            sums = [[(m[:i] + (m[i] + 1,) + m[i + 1:], one)] for m in self.basis(d)]
+            self._varmap_cache[key] = self._normal_forms(d + 1, sums)
         return self._varmap_cache[key]
 
     def times_variable(self, i: int, d: int, vectors) -> list:
         """x_i times each degree-d coordinate vector, as degree-(d+1) coordinate vectors."""
+        self._check_variable(i)
         if not vectors:
             return []
         columns = self.variable_map(i, d)
@@ -319,7 +390,9 @@ class QuotientRing:
         kernel of the multiplication-by-f matrix.  The ideal generated so far
         fills the kernel of degree d-1, so its degree-d piece is x_k times
         that kernel, over every k.  New generators are the kernel vectors
-        that this piece does not already span.
+        that this piece does not already span.  The span then holds the
+        whole kernel in reduced echelon form; it is kept per degree for
+        ``_take_colon``.
         """
         if through_degree is None:
             if not self.is_artinian:
@@ -327,12 +400,13 @@ class QuotientRing:
             through_degree = self.socle_degree()
         gens: list[Polynomial] = []
         ker: list = []
+        spans = self._colon_spans[f] = {}
         for d in range(through_degree + 1):
             hd = self.hilbert_function(d)
             if hd == 0:
                 break
             below, ker = ker, kernel_basis(self.multiplication_map(f, d), self.field)
-            span = Echelon(self.field, hd)
+            span = spans[d] = Echelon(self.field, hd)
             for v in chain.from_iterable(self.times_variable(k, d - 1, below) for k in range(self.n)):
                 if span.rank == len(ker):
                     break
@@ -424,6 +498,7 @@ class GradedModuleSpan:
         One list per echelon row of degree d, of (target row, coefficient) pairs
         in the degree-(d+1) echelon basis.  That basis is fully reduced, so the
         coordinate of a member vector along row r is its entry at r's pivot.
+        An index outside ``range(n)`` raises ``DimensionMismatch``.
         """
         key = (i, d)
         if key not in self._varmap_cache:

@@ -482,12 +482,20 @@ def duality_check(n: int, field=None) -> bool:
 
 @_per_run
 def named_quotient(label: str, n: int, field, degree_cap: int | None = None) -> QuotientRing:
-    """P, R or A in n variables over the given field (A via the colon construction)."""
+    """P, R or A in n variables over the given field.
+
+    A is Q/G with G = (squares) : h^2, presented by the generators of
+    ``gorenstein_presentation``.  Its echelon forms are the kernels that the
+    colon computed in P, ann_P(h^2)_d = (G modulo the squares)_d, and it
+    shares P's column and base tables (``QuotientRing._take_colon``).
+    """
     if label == "P":
         return QuotientRing(squares_ideal(n, field), degree_cap=degree_cap, name="P")
     if label == "R":
         return QuotientRing(aci_ideal(n, field), degree_cap=degree_cap, name="R")
     if label == "A":
-        _, gens = gorenstein_presentation(n, field)
-        return QuotientRing(gens, degree_cap=degree_cap, name="A")
+        P, gens = gorenstein_presentation(n, field)
+        A = QuotientRing(gens, degree_cap=degree_cap, name="A")
+        A._take_colon(P, squared_variable_sum(n, field))
+        return A
     raise ValueError(f"unknown quotient label {label!r}")

@@ -25,6 +25,7 @@ from aciring import (
     ideal_equal,
     max_rank_check,
     named_quotient,
+    parse_poly,
     primed_aci_ideal,
     primed_squares_ideal,
     regular_element_check,
@@ -36,6 +37,7 @@ from aciring.errors import DegreeCapExceeded, DimensionMismatch, FieldMismatch
 from aciring.linalg import kernel_basis, rank
 from aciring.quotient import GradedModuleSpan
 from aciring.resolution import gorenstein_presentation
+from aciring.runmemo import _run_scope
 
 from _oracle import hilbert_function_slow
 
@@ -119,6 +121,20 @@ def test_polynomials_of_another_ring_are_refused():
         QuotientRing([x1_squared], n=4, field=QQ)
     with pytest.raises(FieldMismatch):
         QuotientRing([x1_squared], n=3, field=GF(7))
+
+
+def test_a_variable_index_outside_the_ring_is_refused():
+    P, gens = gorenstein_presentation(4, QQ)
+    module = GradedModuleSpan(P, [g for g in gens if P.nf(g)], name="G/J")
+    for i in (-1, 4):
+        for call in (
+            lambda: P.variable_map(i, 1),
+            lambda: P.times_variable(i, 1, [[1] * P.hilbert_function(1)]),
+            lambda: P.times_variable(i, 1, []),
+            lambda: module.variable_map(i, 2),
+        ):
+            with pytest.raises(DimensionMismatch, match="variable index"):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +237,38 @@ def test_mult_map_columns_are_normal_forms():
             assert len(columns) == len(images) == module.hilbert_function(d)
             for column, image in zip(columns, images):
                 assert [sum(c * above[r][k] for r, c in column) for k in range(len(image))] == image
+
+
+def _dense_normal_form(q: QuotientRing, d: int, m) -> list:
+    """nf(m) in basis(d) by reducing the dense vector against the form, row by row."""
+    v = q._echelon(d).reduce(q._vector(d, [(m, q.field.one())]))
+    pivots = set(q._echelon(d).pivots)
+    return [c for j, c in enumerate(v) if j not in pivots]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_variable_maps_read_off_the_pivot_rows_are_the_normal_forms(field):
+    # x1^2 + x2*x3 + x3*x4 joins the base, so x1^2 reduces to two terms
+    # modulo B; the last two generators bring Fractions into the forms over QQ
+    gens = ("x1^2 + x2*x3 + x3*x4", "x2^2", "x3^2", "x4^2", "2*x1*x2 + x3*x4", "3*x1*x3 - x2*x4")
+    custom = QuotientRing([parse_poly(g, 4, field) for g in gens])
+    assert any(len(custom._base_nf(m)) > 1 for m in [(2, 0, 0, 0), (3, 0, 0, 0), (2, 1, 0, 0)])
+    rings = [custom] + [named_quotient(label, n, field) for label in "RA" for n in range(2, 7)]
+    fractions = 0
+    for q in rings:
+        n = q.n
+        for d in range(q.socle_degree() + 1):
+            for i in range(n):
+                xi = Polynomial.variable(n, field, i)
+                columns = q.variable_map(i, d)
+                assert len(columns) == q.hilbert_function(d)
+                for column, m in zip(columns, q.basis(d)):
+                    xm = m[:i] + (m[i] + 1,) + m[i + 1:]
+                    image = q.to_vector(xi.mul(Polynomial.monomial(n, field, m)), d + 1)
+                    assert column == [(r, c) for r, c in enumerate(image) if c], (q.name, n, d, i, m)
+                    assert image == _dense_normal_form(q, d + 1, xm), (q.name, n, d, i, m)
+                    fractions += sum(type(c) is Fraction for _, c in column)
+    assert (fractions > 0) == (field == QQ)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +489,47 @@ def test_rational_coefficients_are_ints_unless_the_denominator_exceeds_one():
             for f in forms:
                 check((c for g in q.annihilator_of_element(f) for _, c in g.terms), (label, n))
     assert seen == {int, Fraction}
+
+
+# ---------------------------------------------------------------------------
+# A's forms from the colon
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field,top", [(GF(32003), 8), (QQ, 6)], ids=str)
+def test_a_from_the_colon_equals_a_built_from_its_generators(field, top):
+    # named_quotient("A") takes its forms from the colon's kernels in P;
+    # rebuilding them from the lifted generators must give the same forms,
+    # so the lifts generate the whole kernel
+    for n in range(2, top + 1):
+        with _run_scope():
+            A = named_quotient("A", n, field)
+            P, gens = gorenstein_presentation(n, field)
+        rebuilt = QuotientRing(gens, name="A")
+        assert A.generators == rebuilt.generators
+        assert (A._columns is P._columns) == (n > 2), n  # at n = 2 the lifts are monomials in A's base
+        assert A.socle_degree() == rebuilt.socle_degree()
+        for d in range(A.socle_degree() + 2):
+            form, want = A._echelon(d), rebuilt._echelon(d)
+            assert (form.rows, form.pivots) == (want.rows, want.pivots), (n, d)
+            assert A.basis(d) == rebuilt.basis(d), (n, d)
+            for i in range(n):
+                assert A.variable_map(i, d) == rebuilt.variable_map(i, d), (n, d, i)
+
+
+def test_a_from_the_colon_keeps_its_degree_cap():
+    # A at n = 5 is [1, 5, 5, 1]; its Gröbner basis is complete from degree 3
+    _, gens = gorenstein_presentation(5, QQ)
+    for cap in range(5):
+        A = named_quotient("A", 5, QQ, degree_cap=cap)
+        rebuilt = QuotientRing(gens, degree_cap=cap)
+        assert A.is_complete == rebuilt.is_complete == (cap >= 3), cap
+        assert A.hilbert_series(cap) == rebuilt.hilbert_series(cap), cap
+        if not A.is_complete:
+            with pytest.raises(DegreeCapExceeded):
+                A.basis(cap + 1)
+        else:
+            assert A.hilbert_series() == rebuilt.hilbert_series() == [1, 5, 5, 1]
 
 
 # ---------------------------------------------------------------------------
