@@ -154,12 +154,13 @@ def default_characteristic(n: int) -> int:
     Measured on a 2-CPU machine (process start and ring construction
     included, two runs each), the n = 8 Koszul table (``betti --method
     koszul --no-cache``) takes 0.55-0.82 s for R (the table alone takes
-    0.53 s, the median of ten benchmark runs) and 0.29-0.30 s for A over
-    GF(32003), against 1.2-1.4 s and 0.31 s over QQ.  A is cheap in both
-    fields because the Koszul route ranks one slice per dual pair of a
-    Gorenstein ring and A's echelon forms come from the colon that defines
-    it, and R's slices leave out the columns that the slice above pivots
-    on; R's table over QQ is what the prime still saves.
+    0.53 s, the median of ten benchmark runs) and 0.24 s for A over
+    GF(32003), against 1.2-1.4 s and 0.25-0.27 s over QQ (A with
+    ``OPENBLAS_NUM_THREADS=1``).  A is cheap in both fields because the
+    Koszul route ranks one slice per dual pair of a Gorenstein ring and A's
+    echelon forms come from the colon that defines it, and R's slices leave
+    out the columns that the slice above pivots on; R's table over QQ is
+    what the prime still saves.
     The prime comfortably exceeds every n in scope, matching the standing
     hypothesis that the characteristic is zero or larger than n.
     """

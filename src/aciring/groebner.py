@@ -12,6 +12,8 @@ Buchberger criterion stay here as an independent certificate:
 from __future__ import annotations
 
 from itertools import combinations
+from math import inf
+from operator import ge
 from typing import Iterable, Sequence
 
 from .fields import Field
@@ -52,6 +54,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 break
         if hit is None:
             rem_terms.append((lm, lc))
+        if hit is None or len(hit.terms) == 1:  # a single-term divisor takes off the leading term alone
             h = Polynomial(h.n, field, h.terms[1:], _sorted=True)
         else:
             c = field.div(lc, hit.lc)
@@ -72,9 +75,13 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 class MonomialIdeal:
-    """A monomial ideal kept as the antichain of its minimal generators."""
+    """A monomial ideal kept as the antichain of its minimal generators.
 
-    __slots__ = ("n", "gens")
+    Membership tests the pure powers x_i^a among the generators by exponent
+    bounds, m_i >= a, and divides by the other generators.
+    """
+
+    __slots__ = ("n", "gens", "_bounds", "_mixed")
 
     def __init__(self, n: int, monomials: Iterable[Mono]):
         self.n = n
@@ -84,9 +91,18 @@ class MonomialIdeal:
             if not any(mono_divides(g, m) for g in minimal):
                 minimal.append(m)
         self.gens = tuple(minimal)
+        bounds = [inf] * n  # minimal generators hold at most one pure power per variable
+        self._mixed = []
+        for g in self.gens:
+            support = [i for i, e in enumerate(g) if e]
+            if len(support) == 1:
+                bounds[support[0]] = g[support[0]]
+            else:
+                self._mixed.append(g)
+        self._bounds = tuple(bounds)
 
     def contains(self, m: Mono) -> bool:
-        return any(mono_divides(g, m) for g in self.gens)
+        return any(map(ge, m, self._bounds)) or any(mono_divides(g, m) for g in self._mixed)
 
     def standard_monomials(self, d: int) -> list[Mono]:
         """Monomials of degree d outside the ideal, in descending order (none if d < 0)."""

@@ -2,15 +2,19 @@
 
 A linear map is a list of sparse columns: one list per source basis vector,
 holding the (target position, value) pairs of its image with nonzero
-values.  ``compose``, ``rank`` and ``kernel_basis`` take maps in that one
-format.  Vectors are dense lists of field elements: ints in ``range(p)``
-over GF(p); over QQ canonical rationals, an int for an integral value and a
-``Fraction`` only for a denominator above 1 (see :mod:`.fields`), and every
-map and vector built here keeps that rule.  ``sparse_rank`` takes
-{row: {col: value}}; numpy stays inside it and the mod-p kernels
-``gf_rank`` and ``gf_matmul`` that it reaches.
+values.  ``compose``, ``linear_combination``, ``rank`` and ``kernel_basis``
+take maps in that one format.  Vectors are dense lists of field elements:
+Python ints in ``range(p)`` over GF(p); over QQ canonical rationals, an int
+for an integral value and a ``Fraction`` only for a denominator above 1
+(see :mod:`.fields`), and every map and vector handed out here keeps that
+rule.  ``sparse_rank`` takes {row: {col: value}}.
+numpy stays inside this module.
 
-Reduced echelon forms and kernels come from one engine, ``Echelon``.
+Over GF(p) the dense mod-p core does the echelon work: ``kernel_basis``
+reads the kernel off ``_echelon`` of the map's rows, and ``Echelon``, the
+incremental row space that the rings grow one insert at a time, keeps its
+rows in one int64 array and reduces by ``gf_matmul`` products.  Over QQ
+both work on lists of rationals, ``kernel_basis`` through ``Echelon``.
 Ranks go through ``sparse_rank``: structured
 Gaussian elimination (Faugere-Lachartre, PASCO 2010) in rounds of
 independent pivots ranked by Markowitz cost (Management Sci. 3, 1957), on
@@ -34,6 +38,7 @@ ranks each slice's transpose and leaves those out of the slice below.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -55,7 +60,6 @@ def compose(products, field: Field) -> list:
     k, and its positions index the columns of outer_k.  Each result column
     holds its nonzero (target position, value) pairs in ascending order.
     """
-    p = field.characteristic
     out: list[dict] = []
     for outer, inner in products:
         out = out or [{} for _ in inner]
@@ -63,6 +67,22 @@ def compose(products, field: Field) -> list:
             for k, v in column:
                 for r, w in outer[k]:
                     acc[r] = acc.get(r, 0) + v * w
+    return _columns(out, field.characteristic)
+
+
+def linear_combination(maps, field: Field) -> list:
+    """The column map sum_k c_k · M_k, from (M_k, c_k) pairs of maps with one source and target."""
+    out: list[dict] = []
+    for columns, c in maps:
+        out = out or [{} for _ in columns]
+        for acc, column in zip(out, columns):
+            for r, w in column:
+                acc[r] = acc.get(r, 0) + c * w
+    return _columns(out, field.characteristic)
+
+
+def _columns(out: list, p: int) -> list:
+    """Each {position: value} accumulator as a sorted column of its nonzero values in the field."""
     if p:
         return [[(r, x % p) for r, x in sorted(acc.items()) if x % p] for acc in out]
     return [[(r, canonical(x)) for r, x in sorted(acc.items()) if x] for acc in out]
@@ -80,9 +100,14 @@ def kernel_basis(columns, field: Field):
 
     Canonical: one vector per free column of the reduced echelon form of
     M's rows, 1 there, 0 at the other free columns, and minus that column
-    of each pivot row at the row's pivot.
+    of each pivot row at the row's pivot.  Over GF(p) the form is
+    ``_echelon`` of M's nonzero rows as one dense block; over QQ the rows
+    go into an ``Echelon`` one at a time.
     """
     ncols = len(columns)
+    p = field.characteristic
+    if p:
+        return _gf_kernel_basis(columns, ncols, p)
     rows: dict[int, list] = {}
     for j, column in enumerate(columns):
         for r, v in column:
@@ -90,7 +115,6 @@ def kernel_basis(columns, field: Field):
     ech = Echelon(field, ncols)
     for r in sorted(rows):
         ech.insert(rows[r])
-    p = field.characteristic
     pivots = set(ech.pivots)
     basis = []
     for fc in range(ncols):
@@ -99,9 +123,37 @@ def kernel_basis(columns, field: Field):
         v = [field.zero()] * ncols
         v[fc] = field.one()
         for row, pc in zip(ech.rows, ech.pivots):
-            v[pc] = -row[fc] % p if p else -row[fc]
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
+
+
+def _gf_array(values, p: int) -> np.ndarray:
+    """Integers mod p as an int64 array; integers beyond int64 are reduced first."""
+    try:
+        a = np.array(values, dtype=np.int64)
+    except OverflowError:
+        a = (np.array(values, dtype=object) % p).astype(np.int64)
+    a %= p
+    return a
+
+
+def _gf_kernel_basis(columns, ncols: int, p: int) -> list:
+    """``kernel_basis`` over GF(p): the kernel read off ``_echelon`` of M's nonzero rows."""
+    lengths = np.fromiter(map(len, columns), np.int64, ncols)
+    sources = np.repeat(np.arange(ncols), lengths)
+    targets = np.fromiter((r for column in columns for r, _ in column), np.int64, sources.size)
+    live, at = np.unique(targets, return_inverse=True)
+    M = np.zeros((live.size, ncols), dtype=np.int64)
+    M[at, sources] = _gf_array([v for column in columns for _, v in column], p)
+    pivots = _echelon(M, p)
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    K = np.zeros((free.size, ncols), dtype=np.int64)
+    K[np.arange(free.size), free] = 1
+    K[:, pivots] = -M[:len(pivots)][:, free].T % p
+    return K.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -536,78 +588,140 @@ def _echelon(A: np.ndarray, p: int) -> list[int]:
 # ----------------------------------------------------------------------
 
 
-def _sub_multiple(a: list, c, b: list, p: int) -> list:
-    """The row a - c*b, reduced mod p over GF(p) (p > 0) and canonical over QQ."""
-    if p:
-        return [(x - c * y) % p if y else x for x, y in zip(a, b)]
+def _sub_multiple(a: list, c, b: list) -> list:
+    """The row a - c*b over QQ, canonical."""
     return canonical_vector([x - c * y if y else x for x, y in zip(a, b)])
 
 
 class Echelon:
     """A row space maintained in reduced echelon form, one insert at a time.
 
-    This is the echelon engine of the package: ``kernel_basis`` is built on
-    it, and callers use it directly for annihilator extraction, socle
-    checks and span comparisons.  Vectors are lists of field elements: ints
-    in ``range(p)`` over GF(p), and canonical rationals over QQ, an int
-    unless the denominator is above 1.  A vector may come in with integral
-    ``Fraction``s; the rows, residuals and reductions that come out are
-    canonical.  The rows have a 1 at their pivot and 0 at every other row's
-    pivot.
+    This is the incremental echelon engine of the package: callers use it
+    for annihilator extraction, socle checks and span comparisons, and
+    ``kernel_basis`` over QQ is built on it.  Vectors go in and come out as
+    lists of field elements: Python ints in ``range(p)`` over GF(p), and
+    canonical rationals over QQ, an int unless the denominator is above 1.
+    A vector may come in with integral ``Fraction``s, or over GF(p) with
+    ints outside ``range(p)``; the rows, residuals and reductions that come
+    out are canonical.  The rows are in pivot order, with a 1 at their
+    pivot and 0 at every other row's pivot.
+
+    Over GF(p) the rows are kept in one int64 array, in the order they came
+    in, which grows by doubling.  A vector is reduced by one ``gf_matmul``
+    product of its entries at the pivots with the rows they meet, which is
+    exact for every p up to ``fields.MAX_PRIME`` (a raw int64 product is
+    not), and an insert clears its pivot column from the other rows by one
+    outer-product update.  ``rows`` converts the array to lists in pivot
+    order when asked; no list copy is kept.  Over QQ the rows are lists of
+    canonical rationals, kept in pivot order.
     """
 
-    __slots__ = ("field", "ncols", "rows", "pivots")
+    __slots__ = ("field", "ncols", "pivots", "_rows", "_a", "_slot", "_row_pivot")
 
     def __init__(self, field: Field, ncols: int):
         self.field = field
         self.ncols = ncols
-        self.rows: list[list] = []
         self.pivots: list[int] = []
+        self._rows: list[list] = []  # over QQ, in pivot order
+        # over GF(p): the rows in insertion order, each row's pivot, and the
+        # row of each pivot in pivot order
+        self._a = np.zeros((0, ncols), dtype=np.int64) if field.characteristic else None
+        self._row_pivot = np.zeros(0, dtype=np.int64)
+        self._slot: list[int] = []
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def rows(self) -> list[list]:
+        """The rows in pivot order, as lists."""
+        if self._a is None:
+            return self._rows
+        return self._a[self._slot].tolist()
+
+    def _check_length(self, vec) -> None:
+        if len(vec) != self.ncols:
+            raise DimensionMismatch(f"a vector of length {len(vec)} in a row space of {self.ncols} columns")
+
+    def _gf_reduce(self, vec) -> np.ndarray:
+        """``vec`` mod p, reduced against the rows, as an int64 array."""
+        self._check_length(vec)
+        p = self.field.characteristic
+        v = _gf_array(vec, p)
+        if self.pivots:
+            pivots = self._row_pivot[:self.rank]
+            hit = np.flatnonzero(v[pivots])
+            if hit.size:
+                v -= gf_matmul(v[None, pivots[hit]], self._a[hit], p)[0]
+                v %= p
+        return v
 
     def reduce(self, vec) -> list:
         """Fully reduce a vector against the current rows (no insertion).
 
         A vector whose length is not ``ncols`` raises ``DimensionMismatch``.
         """
-        if len(vec) != self.ncols:
-            raise DimensionMismatch(f"a vector of length {len(vec)} in a row space of {self.ncols} columns")
-        p = self.field.characteristic
-        v = [x % p for x in vec] if p else canonical_vector(list(vec))
-        for row, j in zip(self.rows, self.pivots):
+        if self._a is not None:
+            return self._gf_reduce(vec).tolist()
+        self._check_length(vec)
+        v = canonical_vector(list(vec))
+        for row, j in zip(self._rows, self.pivots):
             c = v[j]
             if c:
-                v = _sub_multiple(v, c, row, p)
+                v = _sub_multiple(v, c, row)
         return v
 
     def contains(self, vec) -> bool:
+        if self._a is not None:
+            return not self._gf_reduce(vec).any()
         return not any(self.reduce(vec))
 
     def insert(self, vec):
         """Insert a vector; returns the normalized residual, or None if dependent."""
+        if self._a is None:
+            return self._qq_insert(vec)
         p = self.field.characteristic
+        v = self._gf_reduce(vec)
+        nz = np.flatnonzero(v)
+        if not nz.size:
+            return None
+        piv = int(nz[0])
+        v *= pow(int(v[piv]), p - 2, p)  # each product is below p^2 <= 2^53
+        v %= p
+        # keep earlier rows reduced against the new pivot; v is 0 left of it
+        r = self.rank
+        hit = np.flatnonzero(self._a[:r, piv])
+        if hit.size:
+            block = self._a[hit, piv:]
+            block -= block[:, :1] * v[piv:]
+            block %= p
+            self._a[hit, piv:] = block
+        if r == self._a.shape[0]:  # grow by doubling, up to ncols rows
+            size = min(self.ncols, max(4, 2 * r))
+            self._a = np.concatenate((self._a, np.zeros((size - r, self.ncols), dtype=np.int64)))
+            self._row_pivot = np.concatenate((self._row_pivot, np.zeros(size - r, dtype=np.int64)))
+        self._a[r] = v
+        self._row_pivot[r] = piv
+        at = bisect_left(self.pivots, piv)
+        self.pivots.insert(at, piv)
+        self._slot.insert(at, r)
+        return v.tolist()
+
+    def _qq_insert(self, vec):
         v = self.reduce(vec)
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return None
-        if p:
-            inv = pow(v[piv], p - 2, p)
-            v = [inv * x % p for x in v]
-        else:
-            inv = self.field.inv(v[piv])
-            if inv != 1:
-                v = canonical_vector([inv * x for x in v])
+        inv = self.field.inv(v[piv])
+        if inv != 1:
+            v = canonical_vector([inv * x for x in v])
         # keep earlier rows reduced against the new pivot
-        for k, row in enumerate(self.rows):
+        for k, row in enumerate(self._rows):
             c = row[piv]
             if c:
-                self.rows[k] = _sub_multiple(row, c, v, p)
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < piv:
-            at += 1
-        self.rows.insert(at, v)
+                self._rows[k] = _sub_multiple(row, c, v)
+        at = bisect_left(self.pivots, piv)
+        self._rows.insert(at, v)
         self.pivots.insert(at, piv)
         return v

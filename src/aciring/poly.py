@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch
@@ -39,7 +40,7 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """Whether a | b exponentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b: Mono, a: Mono) -> Mono:
@@ -165,7 +166,11 @@ class Polynomial(_TermList):
 
     @classmethod
     def monomial(cls, n: int, field: Field, m: Mono, c=1) -> "Polynomial":
-        return cls(n, field, ((tuple(m), c),))
+        m = tuple(m)
+        if len(m) != n:
+            raise DimensionMismatch(f"monomial {m} in {n} variables")
+        c = field.coerce(c)
+        return cls(n, field, ((m, c),) if c else (), _sorted=True)
 
     # -- term access ------------------------------------------------------
     def lt(self):

@@ -11,8 +11,12 @@ in(B), the other columns are the standard monomials: the Macaulay-matrix
 view of Gröbner bases (Lazard, EUROCAL '83; Faugère's F4, JPAA 139, 1999).
 The form is reduced, so normal forms need no elimination: a standard column
 is its own basis element and a pivot column is minus its row's standard
-entries, and nf(m) is the sum of those over m's terms modulo B.  A degree
-cap stops the elimination; see ``QuotientRing.is_complete``.
+entries, and nf(m) is the sum of those over m's terms modulo B.  In a
+degree whose form has no pivots, as in every degree of P, the columns are
+the standard monomials and nf(m) is m modulo B.  A degree cap stops the
+elimination; see ``QuotientRing.is_complete``.  The forms are ``Echelon``
+row spaces, so over GF(p) their rows live in int64 arrays inside
+:mod:`.linalg`; this module sees lists.
 
 Subspaces of the ring grow by the same rule: the degree-d piece of an ideal
 is x_1..x_n times its degree-(d-1) piece plus its degree-d generators.
@@ -23,7 +27,8 @@ That is the package's one format for linear maps (see :mod:`.linalg`).
 ``times_variable`` scatters coordinate vectors through those columns, and
 the annihilator of an element and a ``GradedModuleSpan`` are built with it.
 ``multiplication_map(f, d)`` gives multiplication by any homogeneous f in
-the same format, composed from the variable maps by Horner's rule.
+the same format, composed from the variable maps by Horner's rule; a linear
+form is the sum of the scaled variable maps (``linalg.linear_combination``).
 
 The annihilator ``annihilator_of_element(f)`` keeps, per degree, the span
 of the kernel in reduced echelon form.  In a ring whose ideal is its base,
@@ -41,7 +46,7 @@ from typing import Sequence
 from .errors import DegreeCapExceeded, DimensionMismatch
 from .fields import Field, canonical_vector, check_same_field
 from .groebner import MonomialIdeal, normal_form
-from .linalg import Echelon, compose, kernel_basis, rank
+from .linalg import Echelon, compose, kernel_basis, linear_combination, rank
 from .linalg import gf_matmul  # noqa: F401  bench/tests/test_bench.py dereferences quotient.gf_matmul
 from .poly import Mono, Polynomial, mono_deg
 
@@ -308,7 +313,8 @@ class QuotientRing:
         (position in ``basis(d + deg f)``, coefficient) pairs of nf(f·m) with
         nonzero coefficients.  Built by Horner's rule from the variable maps:
         f = sum_i x_i·f_i, with x_i the last variable of each term, so
-        M_f(d) = sum_i V_i(d + deg f - 1)·M_{f_i}(d), down to constants.
+        M_f(d) = sum_i V_i(d + deg f - 1)·M_{f_i}(d), down to linear forms,
+        whose maps are sums of scaled variable maps.
         """
         self._check(f)
         e = f.degree
@@ -323,6 +329,8 @@ class QuotientRing:
         if e == 0:
             ((_, c),) = terms
             return [[(j, c)] for j in range(self.hilbert_function(d))]
+        if e == 1:  # a linear form: the scaled variable maps, summed
+            return linear_combination([(self.variable_map(m.index(1), d), c) for m, c in terms], self.field)
         parts: dict[int, list] = {}  # x_i -> the terms of f_i
         for m, c in terms:
             i = max(k for k, x in enumerate(m) if x)
@@ -339,16 +347,20 @@ class QuotientRing:
 
         One list per monomial m of ``basis(d)``, in order, holding the
         (position in ``basis(d + 1)``, coefficient) pairs of nf(x_i·m) with
-        nonzero coefficients, read off the pivot rows (``_normal_forms``).
-        Built once per ring, variable and degree.  An index outside
-        ``range(n)`` raises ``DimensionMismatch``.
+        nonzero coefficients, read off the pivot rows (``_normal_forms``),
+        or, where degree d + 1 has no pivots, taken from the normal forms
+        modulo B (``_base_nf``).  Built once per ring, variable and degree.
+        An index outside ``range(n)`` raises ``DimensionMismatch``.
         """
         self._check_variable(i)
         key = (i, d)
         if key not in self._varmap_cache:
-            one = self.field.one()
-            sums = [[(m[:i] + (m[i] + 1,) + m[i + 1:], one)] for m in self.basis(d)]
-            self._varmap_cache[key] = self._normal_forms(d + 1, sums)
+            products = [m[:i] + (m[i] + 1,) + m[i + 1:] for m in self.basis(d)]
+            if self._echelon(d + 1).pivots:
+                one = self.field.one()
+                self._varmap_cache[key] = self._normal_forms(d + 1, [[(m, one)] for m in products])
+            else:  # every column is standard, as in P: nf is the normal form modulo B
+                self._varmap_cache[key] = [list(self._base_nf(m)) for m in products]
         return self._varmap_cache[key]
 
     def times_variable(self, i: int, d: int, vectors) -> list:

@@ -168,3 +168,67 @@ def hilbert_function_slow(generators, n: int, d: int, p: int = 0) -> int:
                 row[pos[mm]] = c
             rows.append(row)
     return len(cols) - (gf_rank_slow(rows, p) if p else fraction_rank(rows))
+
+
+class EchelonModP:
+    """A row space mod a prime p in reduced echelon form, rows as lists of ints.
+
+    Every insert reduces the vector against the rows in pivot order, scales
+    the residual to a leading 1, clears its pivot column from the other rows
+    and sorts the rows by pivot again.
+    """
+
+    def __init__(self, p: int, ncols: int):
+        self.p = p
+        self.ncols = ncols
+        self.rows = []
+
+    @property
+    def pivots(self) -> list:
+        return [next(j for j, x in enumerate(row) if x) for row in self.rows]
+
+    def reduce(self, vec) -> list:
+        p = self.p
+        v = [x % p for x in vec]
+        for row, j in zip(self.rows, self.pivots):
+            factor = v[j]
+            v = [(x - factor * y) % p for x, y in zip(v, row)]
+        return v
+
+    def contains(self, vec) -> bool:
+        return not any(self.reduce(vec))
+
+    def insert(self, vec):
+        p = self.p
+        v = self.reduce(vec)
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            return None
+        inv = pow(v[lead], p - 2, p)
+        v = [x * inv % p for x in v]
+        self.rows = [[(x - row[lead] * y) % p for x, y in zip(row, v)] for row in self.rows] + [v]
+        self.rows.sort(key=lambda row: next(j for j, x in enumerate(row) if x))
+        return v
+
+
+def gf_kernel_slow(columns, ncols: int, p: int) -> list:
+    """The kernel of a column map mod p: one vector per free column of the
+    reduced echelon form of its rows, 1 there, 0 at the other free columns
+    and minus that column of each pivot row at the row's pivot."""
+    dense = {}
+    for j, column in enumerate(columns):
+        for r, v in column:
+            dense.setdefault(r, [0] * ncols)[j] = v
+    ech = EchelonModP(p, ncols)
+    for r in sorted(dense):
+        ech.insert(dense[r])
+    out = []
+    for free in range(ncols):
+        if free in ech.pivots:
+            continue
+        v = [0] * ncols
+        v[free] = 1
+        for row, j in zip(ech.rows, ech.pivots):
+            v[j] = -row[free] % p
+        out.append(v)
+    return out

@@ -141,6 +141,24 @@ def test_monomial_ideal_minimalizes():
     assert not ideal.contains((0, 2, 2))
 
 
+def test_monomial_ideal_membership_matches_divisibility():
+    # pure powers are tested by exponent bounds, the other generators by
+    # division; the constant monomial holds everything
+    rng = random.Random(5)
+    for gens in (
+        [(2, 0, 0, 0), (0, 3, 0, 0), (1, 0, 1, 0), (0, 1, 0, 2)],
+        [(0, 0, 0, 1), (0, 0, 4, 0), (0, 0, 2, 0)],
+        [(1, 1, 1, 1)],
+        [(0, 0, 0, 0), (5, 0, 0, 0)],
+        [],
+    ):
+        ideal = MonomialIdeal(4, gens)
+        for _ in range(200):
+            m = tuple(rng.randint(0, 4) for _ in range(4))
+            want = any(all(a <= b for a, b in zip(g, m)) for g in gens)
+            assert ideal.contains(m) is want, (gens, m)
+
+
 def test_standard_monomials_match_brute_force():
     gb = groebner_basis(aci_ideal(4, QQ))
     leads = [g.lm for g in gb]

@@ -26,7 +26,7 @@ from aciring.linalg import (
 )
 from aciring.resolution import koszul_betti, named_quotient
 
-from _oracle import fraction_det, fraction_rank, gf_rank_slow
+from _oracle import EchelonModP, fraction_det, fraction_rank, gf_kernel_slow, gf_rank_slow
 
 
 # QQ and the prime fields the kernel and echelon tests run over
@@ -621,6 +621,73 @@ def test_echelon_refuses_vectors_of_the_wrong_length(p):
             with pytest.raises(DimensionMismatch):
                 method(vec)
     assert ech.rows == [[1, 0, 0]] and ech.pivots == [0]
+
+
+# the primes the array Echelon and kernel_basis are checked at against the list oracle
+ORACLE_PRIMES = [2, 3, 101, 32003, MAX_PRIME]
+
+
+def _all_python_ints(values) -> bool:
+    return all(type(x) is int for x in values)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_gf_echelon_matches_the_list_oracle(p):
+    # rows, pivots, residuals, reductions and membership against EchelonModP,
+    # on vectors drawn from a small span (so dependent ones recur), vectors
+    # off by multiples of p, negative entries and entries beyond int64
+    rng = random.Random(p)
+    for trial in range(40):
+        ncols = rng.randint(0, 11)
+        ech, slow = Echelon(GF(p), ncols), EchelonModP(p, ncols)
+        span = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rng.randint(1, 5))]
+
+        def draw():
+            kind = rng.random()
+            if kind < 0.5:
+                coeffs = [rng.randrange(p) for _ in span]
+                return [sum(c * row[j] for c, row in zip(coeffs, span)) for j in range(ncols)]
+            if kind < 0.8:
+                return [rng.randint(-2 * p, 2 * p) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+            return [rng.randrange(p) + rng.choice((-1, 1)) * p * rng.randrange(1 << 70, 1 << 72) for _ in range(ncols)]
+
+        for _ in range(rng.randint(0, 14)):
+            probe, vec = draw(), draw()
+            reduced = ech.reduce(probe)
+            assert reduced == slow.reduce(probe) and _all_python_ints(reduced)
+            assert ech.contains(probe) is slow.contains(probe)
+            got = ech.insert(vec)
+            assert got == slow.insert(vec)
+            assert got is None or _all_python_ints(got)
+            rows = ech.rows
+            assert rows == slow.rows and ech.pivots == slow.pivots and ech.rank == len(rows)
+            assert _all_python_ints(ech.pivots) and all(_all_python_ints(row) for row in rows)
+        for vec in ([0] * (ncols + 1), [1] * max(ncols - 1, 0) if ncols else [1]):
+            for method in (ech.insert, ech.reduce, ech.contains):
+                with pytest.raises(DimensionMismatch):
+                    method(vec)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_gf_kernel_basis_matches_the_list_oracle(p):
+    rng = random.Random(7 * p)
+    maps = []
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 9), rng.randint(0, 9)
+        maps.append([[(r, rng.randint(-p, 2 * p)) for r in range(nrows) if rng.random() < 0.5] for _ in range(ncols)])
+    # an injective map (unit lower triangular, so the kernel is empty), a
+    # zero map on 4 columns, a map with no columns, and a row that repeats
+    # another one twice over
+    maps.append([[(j, 1)] + [(r, rng.randrange(p)) for r in range(j + 1, 6)] for j in range(5)])
+    maps.append([[] for _ in range(4)])
+    maps.append([])
+    maps.append([[(0, 1), (3, 2)], [(0, p - 1), (3, p - 2)], [(1, 5)]])
+    for columns in maps:
+        ker = kernel_basis(columns, GF(p))
+        assert ker == gf_kernel_slow(columns, len(columns), p)
+        assert all(_all_python_ints(v) for v in ker)
+    assert kernel_basis(maps[-4], GF(p)) == []
+    assert kernel_basis(maps[-3], GF(p)) == [[int(i == j) for i in range(4)] for j in range(4)]
 
 
 def test_only_linalg_knows_the_matrix_format():

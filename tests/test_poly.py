@@ -150,6 +150,13 @@ def test_constructors_map_coefficients_into_the_field():
         Polynomial.monomial(2, QQ, (1, 0), 0.5)
     with pytest.raises(DimensionMismatch):
         DividedPowerForm(2, QQ, [((1, 0, 0), 1)])
+    # the one-term constructor maps its coefficient as the general one does
+    for field in (QQ, F7):
+        for c in (1, -1, 9, Fraction(3, 2), Fraction(4, 2), 0, 7):
+            got = Polynomial.monomial(2, field, [1, 0], c)
+            assert got == Polynomial(2, field, [((1, 0), c)]) and got.terms == Polynomial(2, field, [((1, 0), c)]).terms
+    with pytest.raises(DimensionMismatch):
+        Polynomial.monomial(2, QQ, (1, 0, 0))
 
 
 def test_form_never_equals_polynomial():

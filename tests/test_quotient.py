@@ -532,6 +532,26 @@ def test_a_from_the_colon_keeps_its_degree_cap():
             assert A.hilbert_series() == rebuilt.hilbert_series() == [1, 5, 5, 1]
 
 
+@pytest.mark.parametrize("label", ["P", "R", "A"])
+def test_forms_and_variable_maps_over_gf_are_the_qq_ones_reduced(label):
+    # Echelon keeps GF(p) rows in int64 arrays and QQ rows as lists of
+    # rationals; for P, R and A the QQ forms and maps reduced mod p must be
+    # the GF(p) ones, entry by entry
+    gf = GF(32003)
+    for n in range(2, 7):
+        with _run_scope():
+            over_q, over_p = named_quotient(label, n, QQ), named_quotient(label, n, gf)
+        assert over_p.socle_degree() == over_q.socle_degree(), n
+        for d in range(over_q.socle_degree() + 2):
+            form_q, form_p = over_q._echelon(d), over_p._echelon(d)
+            assert form_p.pivots == form_q.pivots, (n, d)
+            assert form_p.rows == [[gf.coerce(x) for x in row] for row in form_q.rows], (n, d)
+            assert over_p.basis(d) == over_q.basis(d), (n, d)
+            for i in range(n):
+                reduced = [[(r, gf.coerce(x)) for r, x in column if gf.coerce(x)] for column in over_q.variable_map(i, d)]
+                assert over_p.variable_map(i, d) == reduced, (n, d, i)
+
+
 # ---------------------------------------------------------------------------
 # the echelon forms against the oracle's Macaulay matrices
 # ---------------------------------------------------------------------------
