@@ -18,8 +18,9 @@ elimination; see ``QuotientRing.is_complete``.  The forms are ``Echelon``
 row spaces, so over GF(p) their rows live in int64 arrays inside
 :mod:`.linalg`; this module sees lists.
 
-Subspaces of the ring grow by the same rule: the degree-d piece of an ideal
-is x_1..x_n times its degree-(d-1) piece plus its degree-d generators.
+Every graded ideal here grows one way, ``GradedModuleSpan._span``: its
+degree-d piece is its degree-d generators plus x_1..x_n times its
+degree-(d-1) piece.  A ring's forms are the ideal of its relations in Q/B.
 ``variable_map(i, d)`` is multiplication by x_i out of degree d, built once
 per ring as sparse columns: one list per standard monomial m of degree d,
 holding the (position in ``basis(d + 1)``, coefficient) pairs of nf(x_i·m).
@@ -30,11 +31,10 @@ the annihilator of an element and a ``GradedModuleSpan`` are built with it.
 the same format, composed from the variable maps by Horner's rule; a linear
 form is the sum of the scaled variable maps (``linalg.linear_combination``).
 
-The annihilator ``annihilator_of_element(f)`` keeps, per degree, the span
-of the kernel in reduced echelon form.  In a ring whose ideal is its base,
-that span is the form of the quotient by the colon, which
-``_take_colon`` hands to that quotient instead of rebuilding it: A takes
-its forms from ann_P(h^2).
+``annihilator_of_element(f)`` grows ann(f) as such a module and keeps it
+per f.  In a ring whose ideal is its base, it is the ideal of the quotient
+by the colon, which ``_take_colon`` hands to that quotient: A's forms are
+ann_P(h^2), which ``resolution.duality_check`` resolves as G/J.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class QuotientRing:
         self._base_nf_cache: dict[Mono, list] = {}
         self._forms: dict[int, Echelon] = {}
         self._nf_columns: dict[int, list] = {}
-        self._colon_spans: dict[Polynomial, dict[int, Echelon]] = {}
+        self._colons: dict[Polynomial, GradedModuleSpan] = {}
         self._basis_cache: dict[int, tuple[Mono, ...]] = {}
         self._varmap_cache: dict[tuple[int, int], list] = {}
 
@@ -101,26 +101,23 @@ class QuotientRing:
         check_same_field(f.field, self.field)
 
     def _take_colon(self, q: QuotientRing, f: Polynomial) -> None:
-        """Take this ring's echelon forms from the colon ``q.annihilator_of_element(f)``.
+        """Take this ring's ideal from the colon ``q.annihilator_of_element(f)``.
 
         This ring is presented by q's generators and the colon's lifts, as A
         is by P's.  When q's ideal is its base B and B is this ring's base
-        too, q's basis(d) is this ring's degree-d columns, and the colon's
-        degree-d span, ann_q(f)_d in reduced echelon form, is I_d modulo B
-        in reduced echelon form: this ring's form, since that form is
+        too, q is this ring's Q/B, and the colon's module ann_q(f) is I
+        modulo B: its degree-d span is this ring's form, since that form is
         unique.  The two rings then share their column and base tables too.
-        Under a cap only the degrees through it are taken; the degrees above
-        are refused or derived as before.  When the bases differ (A at n = 2,
-        whose lifts are monomials) nothing is taken.
+        Only a colon computed through q's socle degree is taken, so every
+        degree of the module is exact; a cap is checked in ``_echelon``, as
+        for any ring.  When the bases differ (A at n = 2, whose lifts are
+        monomials) or the colon stopped short, nothing is taken.
         """
-        if q._relations or q.n != self.n or q.field != self.field or q.base != self.base:
+        if q._relations or q.n != self.n or q.field != self.field or q.base != self.base or f not in q._colons:
             return
         self._columns = q._columns
         self._base_nf_cache = q._base_nf_cache
-        cap = self.degree_cap
-        for d, span in q._colon_spans.get(f, {}).items():
-            if cap is None or d <= cap:
-                self._forms[d] = span
+        self._ideal = q._colons[f]
 
     # -- the echelon forms -------------------------------------------------
 
@@ -144,34 +141,26 @@ class QuotientRing:
             self._base_nf_cache[m] = out
         return self._base_nf_cache[m]
 
-    def _vector(self, d: int, terms) -> list:
-        """A sum of degree-d terms modulo B, over the degree-d columns."""
-        vec = [self.field.zero()] * len(self._column_index(d))
-        for m, c in terms:
-            for j, c2 in self._base_nf(m):
-                vec[j] += c * c2
-        return vec
+    @cached_property
+    def _ideal(self) -> GradedModuleSpan | None:
+        """I modulo B, grown in Q/B (the relation-free ring on B, sharing the column and base tables)."""
+        if not self._relations:
+            return None
+        ambient = QuotientRing(self.base, n=self.n, field=self.field)
+        ambient._columns, ambient._base_nf_cache = self._columns, self._base_nf_cache
+        return GradedModuleSpan(ambient, self._relations)
 
     def _echelon(self, d: int) -> Echelon:
-        """I_d modulo B in reduced echelon form, over the degree-d columns."""
+        """I_d modulo B in reduced echelon form, over the degree-d columns: ``_ideal``'s degree-d piece."""
         if d not in self._forms:
-            form = Echelon(self.field, len(self._column_index(d)))
-            if form.ncols and d > 0 and self._relations:
+            ncols = len(self._column_index(d))
+            if ncols and d > 0 and self._ideal is not None:
                 cap = self.degree_cap
                 if cap is not None and d > cap and not self.is_complete:
                     raise DegreeCapExceeded(cap, f"basis is only complete through degree {cap}, asked about degree {d}")
-                below = list(self._column_index(d - 1))
-                products = (
-                    [(m[:k] + (m[k] + 1,) + m[k + 1:], c) for m, c in zip(below, row) if c]
-                    for row in self._echelon(d - 1).rows
-                    for k in range(self.n)
-                )
-                generators = (g.terms for g in self._relations if g.degree == d)
-                for terms in chain(generators, products):
-                    if form.rank == form.ncols:
-                        break
-                    form.insert(self._vector(d, terms))
-            self._forms[d] = form
+                self._forms[d] = self._ideal._span(d)
+            else:
+                self._forms[d] = Echelon(self.field, ncols)
         return self._forms[d]
 
     def _column_normal_forms(self, d: int) -> list:
@@ -202,16 +191,6 @@ class QuotientRing:
         """
         inner = [[(j, c * c2) for m, c in terms for j, c2 in self._base_nf(m)] for terms in sums]
         return compose([(self._column_normal_forms(d), inner)], self.field)
-
-    def _reduce(self, d: int, terms) -> list:
-        """Coordinates in ``basis(d)`` of the normal form of a sum of degree-d terms.
-
-        The dense form of ``_normal_forms``, the one normal-form rule.
-        """
-        vec = [self.field.zero()] * self.hilbert_function(d)
-        for at, c in self._normal_forms(d, [terms])[0]:
-            vec[at] = c
-        return vec
 
     def initial_generators(self, through: int) -> tuple[Mono, ...]:
         """Minimal generators of in(I): those of in(B), and the pivots through the given degree."""
@@ -290,7 +269,8 @@ class QuotientRing:
             by_degree.setdefault(mono_deg(m), []).append((m, c))
         terms = []
         for d, part in by_degree.items():  # descending, as f.terms is
-            terms.extend((m, c) for m, c in zip(self.basis(d), self._reduce(d, part)) if c)
+            basis = self.basis(d)
+            terms.extend((basis[at], c) for at, c in self._normal_forms(d, [part])[0])
         return Polynomial(self.n, self.field, terms, _sorted=True)
 
     def to_vector(self, f: Polynomial, d: int):
@@ -298,11 +278,18 @@ class QuotientRing:
         self._check(f)
         if any(mono_deg(m) != d for m, _ in f.terms):
             raise ValueError("element is not homogeneous of the requested degree")
-        return self._reduce(d, f.terms)
+        vec = [self.field.zero()] * self.hilbert_function(d)
+        for at, c in self._normal_forms(d, [f.terms])[0]:
+            vec[at] = c
+        return vec
 
     def from_vector(self, d: int, vec) -> Polynomial:
-        terms = [(m, c) for m, c in zip(self.basis(d), vec) if c]
-        return Polynomial(self.n, self.field, terms)
+        """The element with coordinates ``vec`` in ``basis(d)``; another length raises ``DimensionMismatch``."""
+        basis, coerce = self.basis(d), self.field.coerce
+        if len(vec) != len(basis):
+            raise DimensionMismatch(f"a vector of length {len(vec)} in degree {d}, of dimension {len(basis)}")
+        terms = [(m, x) for m, c in zip(basis, vec) if c and (x := coerce(c))]
+        return Polynomial(self.n, self.field, terms, _sorted=True)
 
     # -- multiplication as linear algebra ---------------------------------
 
@@ -364,7 +351,7 @@ class QuotientRing:
         return self._varmap_cache[key]
 
     def times_variable(self, i: int, d: int, vectors) -> list:
-        """x_i times each degree-d coordinate vector, as degree-(d+1) coordinate vectors."""
+        """x_i times each degree-d coordinate vector (of length ``hilbert_function(d)``), one degree up."""
         self._check_variable(i)
         if not vectors:
             return []
@@ -372,6 +359,8 @@ class QuotientRing:
         zero, size, p = self.field.zero(), self.hilbert_function(d + 1), self.field.characteristic
         out = []
         for vec in vectors:
+            if len(vec) != len(columns):
+                raise DimensionMismatch(f"a vector of length {len(vec)} in degree {d}, of dimension {len(columns)}")
             image = [zero] * size
             for column, v in zip(columns, vec):
                 if v:
@@ -398,37 +387,35 @@ class QuotientRing:
     def annihilator_of_element(self, f: Polynomial, through_degree: int | None = None) -> list[Polynomial]:
         """Minimal generators of {g : g * f = 0}, as lifted normal forms.
 
-        Works degree by degree: in each degree the annihilator piece is the
-        kernel of the multiplication-by-f matrix.  The ideal generated so far
-        fills the kernel of degree d-1, so its degree-d piece is x_k times
-        that kernel, over every k.  New generators are the kernel vectors
-        that this piece does not already span.  The span then holds the
-        whole kernel in reduced echelon form; it is kept per degree for
-        ``_take_colon``.
+        Grows ann(f) as a ``GradedModuleSpan``: its degree-d piece, the
+        kernel of multiplication by f, starts as x_k times the piece below,
+        over every k, up to the kernel's dimension.  The residues of the
+        kernel vectors that this does not span are the new generators, of
+        the module too.  A module computed through the socle degree is kept
+        per f, for ``_take_colon`` and ``resolution.duality_check``.
         """
-        if through_degree is None:
+        complete = through_degree is None
+        if complete:
             if not self.is_artinian:
                 raise ValueError("annihilator in a non-Artinian ring needs through_degree")
             through_degree = self.socle_degree()
+        module = GradedModuleSpan(self, ())
         gens: list[Polynomial] = []
-        ker: list = []
-        spans = self._colon_spans[f] = {}
         for d in range(through_degree + 1):
-            hd = self.hilbert_function(d)
-            if hd == 0:
+            if self.hilbert_function(d) == 0:
+                complete = True
                 break
-            below, ker = ker, kernel_basis(self.multiplication_map(f, d), self.field)
-            span = spans[d] = Echelon(self.field, hd)
-            for v in chain.from_iterable(self.times_variable(k, d - 1, below) for k in range(self.n)):
-                if span.rank == len(ker):
-                    break
-                span.insert(v)
+            ker = kernel_basis(self.multiplication_map(f, d), self.field)
+            span = module._span(d, len(ker))
             if span.rank == len(ker):
                 continue  # ideal so far already fills the kernel
             for v in ker:
                 residue = span.insert(v)
                 if residue is not None:
                     gens.append(self.from_vector(d, residue))
+        module.generators = tuple(gens)
+        if complete:
+            self._colons[f] = module
         return gens
 
     def variable_annihilator_is_principal(self, i: int) -> tuple[bool, list[tuple[int, int, int]]]:
@@ -460,8 +447,9 @@ class GradedModuleSpan:
     Keeps one reduced echelon basis per degree and exposes the same
     degreewise interface the resolution engines use on rings:
     ``hilbert_function``, ``variable_map``, ``socle_degree``.  The degree-d
-    piece is x_k times the degree-(d-1) piece, over every k, plus the
-    generators of degree d.  The Koszul route pairs dual slices only for a
+    piece is the generators of degree d plus x_k times the degree-(d-1)
+    piece, over every k (``_span``), which is how a ring's forms and the
+    colon ann(f) grow too.  The Koszul route pairs dual slices only for a
     ``QuotientRing``: self-duality needs a ring, and G/J's top Koszul row is
     [0, ..., 0, 1] at n = 4, 5 and 6 while its table is not symmetric.
     """
@@ -475,16 +463,22 @@ class GradedModuleSpan:
         self._span_cache: dict[int, Echelon] = {}
         self._varmap_cache: dict[tuple[int, int], list] = {}
 
-    def _span(self, d: int) -> Echelon:
+    def _span(self, d: int, dim: int | None = None) -> Echelon:
+        """The degree-d piece in reduced echelon form, grown until its dimension is ``dim`` (every column by default).
+
+        The degree-d generators go in first, then x_k·r over the rows r below and each k, one at a time.
+        """
         if d not in self._span_cache:
-            ech = Echelon(self.field, self.ambient.hilbert_function(d))
-            if ech.ncols:
-                below = self._span(d - 1).rows if d > 0 else []
-                for v in chain.from_iterable(self.ambient.times_variable(k, d - 1, below) for k in range(self.n)):
-                    ech.insert(v)
-                for g in self.generators:
-                    if g.degree == d:
-                        ech.insert(self.ambient.to_vector(g, d))
+            ambient = self.ambient
+            ech = Echelon(self.field, ambient.hilbert_function(d))
+            dim = ech.ncols if dim is None else dim
+            below = self._span(d - 1).rows if d > 0 and dim else []
+            generators = (ambient.to_vector(g, d) for g in self.generators if g.degree == d)
+            products = (ambient.times_variable(k, d - 1, [row])[0] for row in below for k in range(self.n))
+            for v in chain(generators, products):
+                if ech.rank == dim:
+                    break
+                ech.insert(v)
             self._span_cache[d] = ech
         return self._span_cache[d]
 

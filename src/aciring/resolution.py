@@ -33,7 +33,7 @@ from .fields import QQ
 from .groebner import aci_ideal, squares_ideal
 from .linalg import Echelon, compose, kernel_basis, sparse_rank
 from .poly import Polynomial, squared_variable_sum
-from .quotient import GradedModuleSpan, QuotientRing, annihilator
+from .quotient import QuotientRing, annihilator
 from .runmemo import _per_run
 
 
@@ -467,14 +467,17 @@ def lifting_identity_check(n: int, field=None) -> bool:
 
 
 def duality_check(n: int, field=None) -> bool:
-    """beta_{i,j}(G/J) = beta_{n-i,2n-j}(R) entrywise, both sides computed."""
+    """beta_{i,j}(G/J) = beta_{n-i,2n-j}(R) entrywise, both sides computed.
+
+    G/J is ann_P(h^2), the ``GradedModuleSpan`` that the colon of
+    ``gorenstein_presentation`` grew in P and that A's forms are read from.
+    """
     if n < 2:
         raise ValueError("defined for n >= 2")
     if field is None:
         field = QQ
-    P, gens = gorenstein_presentation(n, field)
-    module = GradedModuleSpan(P, [g for g in gens if P.nf(g)], name="G/J")
-    left = ci_resolution_betti(module)
+    P, _ = gorenstein_presentation(n, field)
+    left = ci_resolution_betti(P._colons[squared_variable_sum(n, field)])
     right = koszul_betti(named_quotient("R", n, field))
     flipped = {(n - i, 2 * n - j): v for (i, j), v in left.entries.items()}
     return flipped == right.entries
@@ -485,9 +488,9 @@ def named_quotient(label: str, n: int, field, degree_cap: int | None = None) -> 
     """P, R or A in n variables over the given field.
 
     A is Q/G with G = (squares) : h^2, presented by the generators of
-    ``gorenstein_presentation``.  Its echelon forms are the kernels that the
-    colon computed in P, ann_P(h^2)_d = (G modulo the squares)_d, and it
-    shares P's column and base tables (``QuotientRing._take_colon``).
+    ``gorenstein_presentation``.  Its ideal is the module that the colon
+    grew in P, ann_P(h^2) = G modulo the squares, and it shares P's column
+    and base tables (``QuotientRing._take_colon``).
     """
     if label == "P":
         return QuotientRing(squares_ideal(n, field), degree_cap=degree_cap, name="P")

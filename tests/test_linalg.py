@@ -723,9 +723,10 @@ def test_only_linalg_knows_the_matrix_format():
 def test_only_poly_stores_terms_unchecked():
     # a term list built with _sorted=True is stored without coercing, merging
     # or sorting; outside poly only the two reductions whose terms come out of
-    # field operations may build one, every other module goes through the
-    # coercing constructor
-    allowed = {("quotient.py", "nf"), ("groebner.py", "normal_form")}
+    # field operations, and from_vector, which coerces each coordinate over
+    # the distinct monomials of basis(d), may build one; every other module
+    # goes through the coercing constructor
+    allowed = {("quotient.py", "nf"), ("quotient.py", "from_vector"), ("groebner.py", "normal_form")}
     offenders = []
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
         if path.name == "poly.py":

@@ -241,7 +241,10 @@ def test_mult_map_columns_are_normal_forms():
 
 def _dense_normal_form(q: QuotientRing, d: int, m) -> list:
     """nf(m) in basis(d) by reducing the dense vector against the form, row by row."""
-    v = q._echelon(d).reduce(q._vector(d, [(m, q.field.one())]))
+    dense = [q.field.zero()] * q._echelon(d).ncols
+    for j, c in q._base_nf(m):
+        dense[j] = c
+    v = q._echelon(d).reduce(dense)
     pivots = set(q._echelon(d).pivots)
     return [c for j, c in enumerate(v) if j not in pivots]
 
@@ -457,6 +460,31 @@ def test_vector_round_trip():
     assert R4.from_vector(2, v) == f
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_coordinate_vectors_of_the_wrong_length_are_refused(field):
+    # P in three variables has three degree-1 coordinates; zip would drop a
+    # fourth entry, or read a short vector as if padded with zeros
+    P = named_quotient("P", 3, field)
+    for vec in ([1, 2, 3, 4], [1, 2], []):
+        with pytest.raises(DimensionMismatch, match="length"):
+            P.from_vector(1, vec)
+    for vectors in ([[1, 0, 0, 5]], [[1, 0, 0], [0, 1]]):
+        with pytest.raises(DimensionMismatch, match="length"):
+            P.times_variable(0, 1, vectors)
+
+
+def test_from_vector_coerces_each_coordinate():
+    x = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    gf7 = GF(7)
+    P7 = named_quotient("P", 3, gf7)
+    f = P7.from_vector(1, [8, 7, -1])
+    assert f.terms == ((x[0], 1), (x[2], 6))
+    assert f == Polynomial(3, gf7, zip(x, [8, 7, -1]))
+    g = ring("P", 3).from_vector(1, [Fraction(4, 2), 0, Fraction(1, 3)])
+    assert g.terms == ((x[0], 2), (x[2], Fraction(1, 3)))
+    assert type(g.terms[0][1]) is int
+
+
 def test_variable_annihilator_is_principal_report():
     ok, rows = ring("R", 5).variable_annihilator_is_principal(4)
     assert ok
@@ -515,6 +543,46 @@ def test_a_from_the_colon_equals_a_built_from_its_generators(field, top):
             assert A.basis(d) == rebuilt.basis(d), (n, d)
             for i in range(n):
                 assert A.variable_map(i, d) == rebuilt.variable_map(i, d), (n, d, i)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_the_colon_module_is_the_span_of_its_lifts(field):
+    # the colon grows ann_P(h^2) itself, stopping its products at the
+    # kernel's dimension; growing the same module from the lifted generators
+    # must give the same forms and variable maps
+    for n in range(2, 7):
+        P = QuotientRing(squares_ideal(n, field))
+        h2 = squared_variable_sum(n, field)
+        lifts = P.annihilator_of_element(h2)
+        module = P._colons[h2]
+        assert module.generators == tuple(lifts)
+        grown = GradedModuleSpan(P, lifts)
+        for d in range(P.socle_degree() + 2):
+            span, want = module._span(d), grown._span(d)
+            assert (span.rows, span.pivots) == (want.rows, want.pivots), (n, d)
+            for i in range(n):
+                assert module.variable_map(i, d) == grown.variable_map(i, d), (n, d, i)
+
+
+def test_a_colon_cut_short_is_not_taken():
+    # a colon computed only through degree 2 leaves A's higher degrees to
+    # A's own generators, which must still give A's forms exactly
+    n = 5
+    h2 = squared_variable_sum(n, QQ)
+    _, gens = gorenstein_presentation(n, QQ)
+    short = QuotientRing(squares_ideal(n, QQ))
+    short.annihilator_of_element(h2, through_degree=2)
+    assert h2 not in short._colons
+    A = QuotientRing(gens)
+    A._take_colon(short, h2)
+    assert A._columns is not short._columns  # nothing was taken
+    want = named_quotient("A", n, QQ)  # its forms come from the whole colon
+    for d in range(want.socle_degree() + 2):
+        assert (A._echelon(d).rows, A._echelon(d).pivots) == (want._echelon(d).rows, want._echelon(d).pivots), d
+    # through a degree where P vanishes, the colon is whole and kept
+    whole = QuotientRing(squares_ideal(n, QQ))
+    whole.annihilator_of_element(h2, through_degree=n + 1)
+    assert h2 in whole._colons
 
 
 def test_a_from_the_colon_keeps_its_degree_cap():

@@ -598,8 +598,9 @@ def gj_module_table(n: int) -> BettiTable:
 
 
 def test_duality_check_range():
-    for n in range(2, 7):
-        assert duality_check(n, QQ)
+    for field in (QQ, GF(32003)):
+        for n in range(2, 7):
+            assert duality_check(n, field), (n, field)
 
 
 def test_duality_literal_corners():

@@ -4,9 +4,12 @@ Builds P, R and A with ``named_quotient`` at n = 2..9 over GF(32003) and
 n = 2..7 over QQ, in each of two checkouts of this repository, and digests
 per ring: its generators, and in every degree from 0 to one past the socle
 degree its echelon form (rows and pivots), its standard monomial basis and
-its variable maps.  Each digest hashes the ``repr`` of those values, so a
-value of another type (an ``np.int64`` for an int, an integral ``Fraction``
-for an int) is a difference too.
+its variable maps.  On the same grid it digests G/J, grown as
+``GradedModuleSpan(P, lifts)`` from the lifts of ``gorenstein_presentation``:
+in every degree from 0 to one past P's socle degree its echelon basis (rows
+and pivots) and its variable maps.  Each digest hashes the ``repr`` of those
+values, so a value of another type (an ``np.int64`` for an int, an integral
+``Fraction`` for an int) is a difference too.
 
     python tools/ring_identity.py OLD_TREE NEW_TREE
 
@@ -44,10 +47,22 @@ def ring_digest(q) -> str:
     return h.hexdigest()
 
 
+def module_digest(module) -> str:
+    """sha256 of a module's echelon bases and variable maps through one past its ambient's socle degree."""
+    h = hashlib.sha256()
+    for d in range(module.ambient.socle_degree() + 2):
+        span = module._span(d)
+        h.update(repr((d, span.pivots, span.rows)).encode())
+        for i in range(module.n):
+            h.update(repr(module.variable_map(i, d)).encode())
+    return h.hexdigest()
+
+
 def digests() -> dict[str, str]:
     """Every case's digest, keyed ring-n-field, from the ``aciring`` on the path."""
     from aciring import GF, QQ
-    from aciring.resolution import named_quotient
+    from aciring.quotient import GradedModuleSpan
+    from aciring.resolution import gorenstein_presentation, named_quotient
 
     out = {}
     for p, ns in CASES:
@@ -55,6 +70,8 @@ def digests() -> dict[str, str]:
         for n in ns:
             for ring in RINGS:
                 out[f"{ring}-n{n}-{field}"] = ring_digest(named_quotient(ring, n, field))
+            P, gens = gorenstein_presentation(n, field)
+            out[f"G/J-n{n}-{field}"] = module_digest(GradedModuleSpan(P, [g for g in gens if P.nf(g)]))
     return out
 
 
@@ -94,7 +111,7 @@ def main() -> int:
     different = [k for k in keys if old.get(k) != new.get(k)]
     for k in different:
         print(f"DIFF  {k}: {old.get(k, 'missing')[:16]} vs {new.get(k, 'missing')[:16]}")
-    print(f"{len(keys)} rings: {len(keys) - len(different)} identical, {len(different)} different")
+    print(f"{len(keys)} rings and modules: {len(keys) - len(different)} identical, {len(different)} different")
     return 1 if different else 0
 
 
