@@ -20,7 +20,10 @@ row spaces, so over GF(p) their rows live in int64 arrays inside
 
 Every graded ideal here grows one way, ``GradedModuleSpan._span``: its
 degree-d piece is its degree-d generators plus x_1..x_n times its
-degree-(d-1) piece.  A ring's forms are the ideal of its relations in Q/B.
+degree-(d-1) piece.  A ring with relations is a relation-free ring modulo
+such an ideal, ``ideal``: it takes B and the column and base tables from the
+ideal's ambient, and its forms are the ideal's spans.  Built from generators,
+the ambient is Q/B, the relation-free ring on B; for R and A it is P.
 ``variable_map(i, d)`` is multiplication by x_i out of degree d, built once
 per ring as sparse columns: one list per standard monomial m of degree d,
 holding the (position in ``basis(d + 1)``, coefficient) pairs of nf(x_i·m).
@@ -31,10 +34,9 @@ the annihilator of an element and a ``GradedModuleSpan`` are built with it.
 the same format, composed from the variable maps by Horner's rule; a linear
 form is the sum of the scaled variable maps (``linalg.linear_combination``).
 
-``annihilator_of_element(f)`` grows ann(f) as such a module and keeps it
-per f.  In a ring whose ideal is its base, it is the ideal of the quotient
-by the colon, which ``_take_colon`` hands to that quotient: A's forms are
-ann_P(h^2), which ``resolution.duality_check`` resolves as G/J.
+``annihilator_of_element(f)`` grows ann(f) as such a module and keeps the
+whole one per f: ann_P(h^2) is the ideal of A = P/ann_P(h^2), which
+``resolution.duality_check`` resolves as G/J.
 """
 
 from __future__ import annotations
@@ -52,7 +54,12 @@ from .poly import Mono, Polynomial, mono_deg
 
 
 class QuotientRing:
-    """k[x1..xn] modulo a homogeneous ideal, one reduced echelon form per degree."""
+    """k[x1..xn] modulo a homogeneous ideal, one reduced echelon form per degree.
+
+    Built from ``generators``, or as a relation-free ring modulo ``ideal``, a
+    ``GradedModuleSpan`` of it, given alone; the relations among generators
+    become such an ideal of Q/B.  Anything else raises ``ValueError``.
+    """
 
     def __init__(
         self,
@@ -62,33 +69,47 @@ class QuotientRing:
         field: Field | None = None,
         degree_cap: int | None = None,
         name: str = "",
+        ideal: GradedModuleSpan | None = None,
     ):
-        gens = [g for g in generators if g]
-        n = gens[0].n if n is None and gens else n
-        field = gens[0].field if field is None and gens else field
-        if n is None or field is None:
-            raise ValueError("zero ideal needs explicit n and field")
-        if any(mono_deg(m) != g.degree for g in gens for m, _ in g.terms):
-            raise ValueError("a quotient ring needs homogeneous generators")
-        self.n = n
-        self.field = field
-        self.name = name
-        self.generators = tuple(generators)
+        if ideal is None:
+            gens = [g for g in generators if g]
+            n = gens[0].n if n is None and gens else n
+            field = gens[0].field if field is None and gens else field
+            if n is None or field is None:
+                raise ValueError("zero ideal needs explicit n and field")
+            if any(mono_deg(m) != g.degree for g in gens for m, _ in g.terms):
+                raise ValueError("a quotient ring needs homogeneous generators")
+            base: list[Polynomial] = []
+            relations: list[Polynomial] = []
+            for g in sorted(gens, key=lambda g: len(g.terms) > 1):  # single terms first
+                if len(g.terms) == 1 or all(not any(map(min, g.lm, b.lm)) for b in base):
+                    base.append(g.monic())
+                else:
+                    relations.append(g)
+            self.generators = tuple(generators)
+            if relations:  # I modulo B, grown in Q/B: the relation-free ring on B
+                ideal = GradedModuleSpan(QuotientRing(base, n=n, field=field), relations)
+            else:
+                self.n, self.field, self.base = n, field, base
+                self.base_leads = MonomialIdeal(n, [b.lm for b in base])
+                self._columns: dict[int, dict[Mono, int]] = {}
+                self._base_nf_cache: dict[Mono, list] = {}
+        elif generators or n is not None or field is not None:
+            raise ValueError("a ring modulo an ideal takes its generators, n and field from the ideal")
+        elif ideal.ambient.ideal is not None:
+            raise ValueError("an ideal of a ring with relations: its coordinates are not that ring's columns")
+        else:
+            self.generators = ideal.ambient.generators + ideal.generators
+        self.ideal = ideal
+        if ideal is not None:  # B, the columns and the normal forms modulo B are the ambient's
+            ambient = ideal.ambient
+            self.n, self.field, self.base, self.base_leads = ambient.n, ambient.field, ambient.base, ambient.base_leads
+            self._columns, self._base_nf_cache = ambient._columns, ambient._base_nf_cache
         for g in self.generators:
             self._check(g)
+        self.name = name
         self.degree_cap = degree_cap
-        self.base: list[Polynomial] = []
-        self._relations: list[Polynomial] = []
-        for g in sorted(gens, key=lambda g: len(g.terms) > 1):  # single terms first
-            if len(g.terms) == 1 or all(not any(map(min, g.lm, b.lm)) for b in self.base):
-                self.base.append(g.monic())
-            else:
-                self._relations.append(g)
-        self.base_leads = MonomialIdeal(n, [b.lm for b in self.base])
-        self._top_degree = max((g.degree for g in gens), default=1)
-        self._columns: dict[int, dict[Mono, int]] = {}
-        self._base_nf_cache: dict[Mono, list] = {}
-        self._forms: dict[int, Echelon] = {}
+        self._top_degree = max((g.degree for g in self.generators if g), default=1)
         self._nf_columns: dict[int, list] = {}
         self._colons: dict[Polynomial, GradedModuleSpan] = {}
         self._basis_cache: dict[int, tuple[Mono, ...]] = {}
@@ -99,25 +120,6 @@ class QuotientRing:
         if f.n != self.n:
             raise DimensionMismatch(f"a polynomial in {f.n} variables, in a ring in {self.n}")
         check_same_field(f.field, self.field)
-
-    def _take_colon(self, q: QuotientRing, f: Polynomial) -> None:
-        """Take this ring's ideal from the colon ``q.annihilator_of_element(f)``.
-
-        This ring is presented by q's generators and the colon's lifts, as A
-        is by P's.  When q's ideal is its base B and B is this ring's base
-        too, q is this ring's Q/B, and the colon's module ann_q(f) is I
-        modulo B: its degree-d span is this ring's form, since that form is
-        unique.  The two rings then share their column and base tables too.
-        Only a colon computed through q's socle degree is taken, so every
-        degree of the module is exact; a cap is checked in ``_echelon``, as
-        for any ring.  When the bases differ (A at n = 2, whose lifts are
-        monomials) or the colon stopped short, nothing is taken.
-        """
-        if q._relations or q.n != self.n or q.field != self.field or q.base != self.base or f not in q._colons:
-            return
-        self._columns = q._columns
-        self._base_nf_cache = q._base_nf_cache
-        self._ideal = q._colons[f]
 
     # -- the echelon forms -------------------------------------------------
 
@@ -141,27 +143,20 @@ class QuotientRing:
             self._base_nf_cache[m] = out
         return self._base_nf_cache[m]
 
-    @cached_property
-    def _ideal(self) -> GradedModuleSpan | None:
-        """I modulo B, grown in Q/B (the relation-free ring on B, sharing the column and base tables)."""
-        if not self._relations:
-            return None
-        ambient = QuotientRing(self.base, n=self.n, field=self.field)
-        ambient._columns, ambient._base_nf_cache = self._columns, self._base_nf_cache
-        return GradedModuleSpan(ambient, self._relations)
-
     def _echelon(self, d: int) -> Echelon:
-        """I_d modulo B in reduced echelon form, over the degree-d columns: ``_ideal``'s degree-d piece."""
-        if d not in self._forms:
-            ncols = len(self._column_index(d))
-            if ncols and d > 0 and self._ideal is not None:
-                cap = self.degree_cap
-                if cap is not None and d > cap and not self.is_complete:
-                    raise DegreeCapExceeded(cap, f"basis is only complete through degree {cap}, asked about degree {d}")
-                self._forms[d] = self._ideal._span(d)
-            else:
-                self._forms[d] = Echelon(self.field, ncols)
-        return self._forms[d]
+        """I_d modulo B in reduced echelon form, over the degree-d columns: the ideal's degree-d span.
+
+        A ring without relations has no pivots.  Above its degree cap, and
+        above degree 0, the span is read only when ``is_complete``;
+        otherwise ``DegreeCapExceeded``.
+        """
+        ncols = len(self._column_index(d))
+        if self.ideal is None or not ncols:
+            return Echelon(self.field, ncols)
+        cap = self.degree_cap
+        if cap is not None and d > max(cap, 0) and not self.is_complete:
+            raise DegreeCapExceeded(cap, f"basis is only complete through degree {cap}, asked about degree {d}")
+        return self.ideal._span(d)
 
     def _column_normal_forms(self, d: int) -> list:
         """nf of each degree-d column, as (position in ``basis(d)``, coefficient) pairs.
@@ -209,9 +204,9 @@ class QuotientRing:
         leading monomials whose lcm does are coprime.
         """
         cap = self.degree_cap
-        if cap is None or not self._relations:
+        if cap is None or self.ideal is None:
             return True
-        if cap < 0 or any(g.degree > cap for g in self._relations):
+        if cap < 0 or any(g.degree > cap for g in self.ideal.generators):
             return False
         leads = self.initial_generators(cap)
         return all(sum(map(max, a, b)) <= cap or not any(map(min, a, b)) for a, b in combinations(leads, 2))
@@ -392,7 +387,7 @@ class QuotientRing:
         over every k, up to the kernel's dimension.  The residues of the
         kernel vectors that this does not span are the new generators, of
         the module too.  A module computed through the socle degree is kept
-        per f, for ``_take_colon`` and ``resolution.duality_check``.
+        per f, as the ideal of ``resolution.named_quotient("A")``.
         """
         complete = through_degree is None
         if complete:

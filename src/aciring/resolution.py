@@ -30,10 +30,10 @@ from typing import Sequence
 
 from .errors import BoundTooSmall
 from .fields import QQ
-from .groebner import aci_ideal, squares_ideal
+from .groebner import squares_ideal
 from .linalg import Echelon, compose, kernel_basis, sparse_rank
 from .poly import Polynomial, squared_variable_sum
-from .quotient import QuotientRing, annihilator
+from .quotient import GradedModuleSpan, QuotientRing, annihilator
 from .runmemo import _per_run
 
 
@@ -469,15 +469,15 @@ def lifting_identity_check(n: int, field=None) -> bool:
 def duality_check(n: int, field=None) -> bool:
     """beta_{i,j}(G/J) = beta_{n-i,2n-j}(R) entrywise, both sides computed.
 
-    G/J is ann_P(h^2), the ``GradedModuleSpan`` that the colon of
-    ``gorenstein_presentation`` grew in P and that A's forms are read from.
+    G/J is ann_P(h^2), the ideal of ``named_quotient("A")``: the
+    ``GradedModuleSpan`` that the colon of ``gorenstein_presentation`` grew
+    in P.
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
     if field is None:
         field = QQ
-    P, _ = gorenstein_presentation(n, field)
-    left = ci_resolution_betti(P._colons[squared_variable_sum(n, field)])
+    left = ci_resolution_betti(named_quotient("A", n, field).ideal)
     right = koszul_betti(named_quotient("R", n, field))
     flipped = {(n - i, 2 * n - j): v for (i, j), v in left.entries.items()}
     return flipped == right.entries
@@ -487,18 +487,18 @@ def duality_check(n: int, field=None) -> bool:
 def named_quotient(label: str, n: int, field, degree_cap: int | None = None) -> QuotientRing:
     """P, R or A in n variables over the given field.
 
-    A is Q/G with G = (squares) : h^2, presented by the generators of
-    ``gorenstein_presentation``.  Its ideal is the module that the colon
-    grew in P, ann_P(h^2) = G modulo the squares, and it shares P's column
-    and base tables (``QuotientRing._take_colon``).
+    P is Q modulo the squares J = (x_i^2).  R and A are P modulo a graded
+    ideal of P, so both share P's column and base tables (and, in one run
+    scope, P itself): R = P/(h^2), and A = P/ann_P(h^2) = Q/G with
+    G = J : h^2, the ideal being the module that the colon of
+    ``gorenstein_presentation`` grew in P.
     """
     if label == "P":
         return QuotientRing(squares_ideal(n, field), degree_cap=degree_cap, name="P")
     if label == "R":
-        return QuotientRing(aci_ideal(n, field), degree_cap=degree_cap, name="R")
+        ideal = GradedModuleSpan(named_quotient("P", n, field), [squared_variable_sum(n, field)])
+        return QuotientRing(ideal=ideal, degree_cap=degree_cap, name="R")
     if label == "A":
-        P, gens = gorenstein_presentation(n, field)
-        A = QuotientRing(gens, degree_cap=degree_cap, name="A")
-        A._take_colon(P, squared_variable_sum(n, field))
-        return A
+        P, _ = gorenstein_presentation(n, field)
+        return QuotientRing(ideal=P._colons[squared_variable_sum(n, field)], degree_cap=degree_cap, name="A")
     raise ValueError(f"unknown quotient label {label!r}")

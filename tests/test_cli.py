@@ -458,6 +458,18 @@ def test_degree_cap_exhaustion_exits_three(capsys):
     assert err.startswith("error: resource cap exceeded")
 
 
+def test_a_at_two_variables_with_a_cap_below_its_relations_exits_three(capsys):
+    # A at n = 2 is P modulo (x1, x2): caps -1 and 0 lie below those
+    # relations, so the Gröbner basis is not known complete there, as for R
+    for cap in ("-1", "0"):
+        argv = ["hilbert", "--ring", "A", "--n", "2", "--method", "quotient", "--degree-cap", cap, "--no-cache"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), cap
+        assert err.startswith("error: resource cap exceeded"), cap
+    argv = ["hilbert", "--ring", "A", "--n", "2", "--method", "quotient", "--degree-cap", "1", "--no-cache"]
+    assert run_cli(capsys, *argv) == (0, "1\n", "")
+
+
 @pytest.mark.parametrize(
     "exc, code, message",
     [

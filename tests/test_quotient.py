@@ -526,20 +526,23 @@ def test_rational_coefficients_are_ints_unless_the_denominator_exceeds_one():
 
 @pytest.mark.parametrize("field,top", [(GF(32003), 8), (QQ, 6)], ids=str)
 def test_a_from_the_colon_equals_a_built_from_its_generators(field, top):
-    # named_quotient("A") takes its forms from the colon's kernels in P;
-    # rebuilding them from the lifted generators must give the same forms,
-    # so the lifts generate the whole kernel
+    # named_quotient("A") is P modulo the colon's module; rebuilding A from
+    # the lifted generators must give the same bases and variable maps, so
+    # the lifts generate the whole kernel.  At n = 2 the lifts are the
+    # monomials x1, x2, which the rebuilt ring takes into its base, so only
+    # from n = 3 on are the forms themselves the same
     for n in range(2, top + 1):
         with _run_scope():
             A = named_quotient("A", n, field)
             P, gens = gorenstein_presentation(n, field)
         rebuilt = QuotientRing(gens, name="A")
         assert A.generators == rebuilt.generators
-        assert (A._columns is P._columns) == (n > 2), n  # at n = 2 the lifts are monomials in A's base
+        assert A.ideal.ambient is P and A._columns is P._columns, n
         assert A.socle_degree() == rebuilt.socle_degree()
         for d in range(A.socle_degree() + 2):
-            form, want = A._echelon(d), rebuilt._echelon(d)
-            assert (form.rows, form.pivots) == (want.rows, want.pivots), (n, d)
+            if n > 2:
+                form, want = A._echelon(d), rebuilt._echelon(d)
+                assert (form.rows, form.pivots) == (want.rows, want.pivots), (n, d)
             assert A.basis(d) == rebuilt.basis(d), (n, d)
             for i in range(n):
                 assert A.variable_map(i, d) == rebuilt.variable_map(i, d), (n, d, i)
@@ -564,25 +567,34 @@ def test_the_colon_module_is_the_span_of_its_lifts(field):
                 assert module.variable_map(i, d) == grown.variable_map(i, d), (n, d, i)
 
 
-def test_a_colon_cut_short_is_not_taken():
-    # a colon computed only through degree 2 leaves A's higher degrees to
-    # A's own generators, which must still give A's forms exactly
+def test_a_ring_modulo_an_ideal_refuses_generators_and_an_ideal_of_a_ring_with_relations():
+    P = QuotientRing(squares_ideal(3, QQ))
+    ideal = GradedModuleSpan(P, [squared_variable_sum(3, QQ)])
+    with pytest.raises(ValueError, match="takes its generators"):
+        QuotientRing(squares_ideal(3, QQ), ideal=ideal)
+    R = QuotientRing(ideal=ideal)
+    assert R.hilbert_series() == [1, 3, 2]
+    with pytest.raises(ValueError, match="ring with relations"):
+        QuotientRing(ideal=GradedModuleSpan(R, [var(3, 0)]))
+
+
+def test_a_colon_cut_short_is_not_kept():
+    # only a colon grown through a degree where P vanishes is kept for A
     n = 5
     h2 = squared_variable_sum(n, QQ)
-    _, gens = gorenstein_presentation(n, QQ)
     short = QuotientRing(squares_ideal(n, QQ))
     short.annihilator_of_element(h2, through_degree=2)
     assert h2 not in short._colons
-    A = QuotientRing(gens)
-    A._take_colon(short, h2)
-    assert A._columns is not short._columns  # nothing was taken
-    want = named_quotient("A", n, QQ)  # its forms come from the whole colon
-    for d in range(want.socle_degree() + 2):
-        assert (A._echelon(d).rows, A._echelon(d).pivots) == (want._echelon(d).rows, want._echelon(d).pivots), d
-    # through a degree where P vanishes, the colon is whole and kept
     whole = QuotientRing(squares_ideal(n, QQ))
     whole.annihilator_of_element(h2, through_degree=n + 1)
     assert h2 in whole._colons
+
+
+def test_r_and_a_of_one_run_are_rings_modulo_the_same_p():
+    for n in (2, 5):
+        with _run_scope():
+            R, A = named_quotient("R", n, QQ), named_quotient("A", n, QQ)
+            assert R.ideal.ambient is A.ideal.ambient is named_quotient("P", n, QQ)
 
 
 def test_a_from_the_colon_keeps_its_degree_cap():

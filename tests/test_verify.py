@@ -72,11 +72,12 @@ def test_run_suite_builds_each_named_ring_and_presentation_once(monkeypatch):
     assert colons == {n: 1 for n in range(2, 8)}
     # the 18 named rings, one ring per route to G per n (the three-way check's
     # cycle of memberships), and one for groebner_basis per n; _lefschetz_by_ranks
-    # takes the named A.  Each ring with relations whose ideal is not a colon
-    # also builds Q/B, the ring on its base, to grow its forms in: R at
-    # n = 2..7, and the three route rings and the groebner_basis ring at
-    # n = 3..7 (at n = 2 their generators are all monomials), 6 + 4 * 5 = 26
-    assert len(built) == 18 + 18 + 6 + 26
+    # takes the named A.  R and A are the named P modulo an ideal of it; each
+    # ring built from generators with relations also builds Q/B, the ring on
+    # its base, to grow its forms in: the three route rings and the
+    # groebner_basis ring at n = 3..7 (at n = 2 their generators are all
+    # monomials), 4 * 5 = 20
+    assert len(built) == 18 + 18 + 6 + 20
     # nothing built inside the run outlives it
     gc.collect()
     assert built and not [ref for ref in built if ref() is not None]

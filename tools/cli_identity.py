@@ -54,6 +54,10 @@ def corpus() -> list[str]:
     for ring in "PRA":
         for n in (4, 5):
             out += [f"hilbert --ring {ring} --n {n} --method quotient --degree-cap {k} --no-cache" for k in range(11)]
+    # the smallest caps at the smallest n, where a ring's relations may be monomials
+    for ring in "PRA":
+        for n in (2, 3):
+            out += [f"hilbert --ring {ring} --n {n} --method quotient --degree-cap {k} --no-cache" for k in (-1, 0, 1)]
     # every table layout: hilbert and betti by both methods, plain and cross-checked
     for command, rings, computed in (("hilbert", "PRA", "quotient"), ("betti", "RA", "koszul")):
         for ring in rings:
