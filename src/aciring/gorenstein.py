@@ -1,13 +1,14 @@
 """The Gorenstein quotient through its explicit generators and inverse system.
 
 Three independent presentations of the same ideal meet here: the colon
-construction lives in :mod:`.resolution`, while this module builds the
-symmetric-orbit generators, the annihilator of a single dual form, and the
-predicted initial ideal whose squarefree part is indexed by ballot
-sequences.  It also carries the strong Lefschetz check for A by two
-independent routes that share no construction: Hessian determinants of the
-dual form, and ranks of the powers of the variable sum on A built by the
-colon construction (``named_quotient("A", ...)``).
+construction is the ideal of ``named_quotient("A", ...)``, P modulo
+``P.colon(h^2)``, while this module builds the symmetric-orbit generators,
+the annihilator of a single dual form, and the predicted initial ideal whose
+squarefree part is indexed by ballot sequences.  It also carries the strong
+Lefschetz check for A by two independent routes that share no construction:
+Hessian determinants of the dual form, and ranks of the powers of the
+variable sum on A built by the colon construction
+(``named_quotient("A", ...)``).
 """
 
 from __future__ import annotations

@@ -34,9 +34,9 @@ the annihilator of an element and a ``GradedModuleSpan`` are built with it.
 the same format, composed from the variable maps by Horner's rule; a linear
 form is the sum of the scaled variable maps (``linalg.linear_combination``).
 
-``annihilator_of_element(f)`` grows ann(f) as such a module and keeps the
-whole one per f: ann_P(h^2) is the ideal of A = P/ann_P(h^2), which
-``resolution.duality_check`` resolves as G/J.
+``colon(f)`` grows ann(f) as such a module and returns it: ann_P(h^2) is
+the ideal of A = P/ann_P(h^2), which ``resolution.duality_check`` resolves
+as G/J.
 """
 
 from __future__ import annotations
@@ -111,7 +111,6 @@ class QuotientRing:
         self.degree_cap = degree_cap
         self._top_degree = max((g.degree for g in self.generators if g), default=1)
         self._nf_columns: dict[int, list] = {}
-        self._colons: dict[Polynomial, GradedModuleSpan] = {}
         self._basis_cache: dict[int, tuple[Mono, ...]] = {}
         self._varmap_cache: dict[tuple[int, int], list] = {}
 
@@ -379,18 +378,19 @@ class QuotientRing:
 
     # -- annihilators --------------------------------------------------------
 
-    def annihilator_of_element(self, f: Polynomial, through_degree: int | None = None) -> list[Polynomial]:
-        """Minimal generators of {g : g * f = 0}, as lifted normal forms.
+    def colon(self, f: Polynomial, through_degree: int | None = None) -> GradedModuleSpan:
+        """ann(f) = {g : g * f = 0} through the given degree, as a ``GradedModuleSpan``.
 
-        Grows ann(f) as a ``GradedModuleSpan``: its degree-d piece, the
-        kernel of multiplication by f, starts as x_k times the piece below,
-        over every k, up to the kernel's dimension.  The residues of the
-        kernel vectors that this does not span are the new generators, of
-        the module too.  A module computed through the socle degree is kept
-        per f, as the ideal of ``resolution.named_quotient("A")``.
+        Its degree-d piece, the kernel of multiplication by f, starts as x_k
+        times the piece below, over every k, up to the kernel's dimension.
+        The residues of the kernel vectors that this does not span are the
+        module's generators: the minimal ones, as lifted normal forms.
+        Above ``through_degree`` the module is the ideal they generate.
+        Without a degree, ann(f) is grown through the socle degree of an
+        Artinian ring; ``resolution.named_quotient("A")`` is P modulo
+        ann_P(h^2).
         """
-        complete = through_degree is None
-        if complete:
+        if through_degree is None:
             if not self.is_artinian:
                 raise ValueError("annihilator in a non-Artinian ring needs through_degree")
             through_degree = self.socle_degree()
@@ -398,7 +398,6 @@ class QuotientRing:
         gens: list[Polynomial] = []
         for d in range(through_degree + 1):
             if self.hilbert_function(d) == 0:
-                complete = True
                 break
             ker = kernel_basis(self.multiplication_map(f, d), self.field)
             span = module._span(d, len(ker))
@@ -409,9 +408,11 @@ class QuotientRing:
                 if residue is not None:
                     gens.append(self.from_vector(d, residue))
         module.generators = tuple(gens)
-        if complete:
-            self._colons[f] = module
-        return gens
+        return module
+
+    def annihilator_of_element(self, f: Polynomial, through_degree: int | None = None) -> list[Polynomial]:
+        """Minimal generators of {g : g * f = 0}, as lifted normal forms: those of ``colon``."""
+        return list(self.colon(f, through_degree).generators)
 
     def variable_annihilator_is_principal(self, i: int) -> tuple[bool, list[tuple[int, int, int]]]:
         """Whether ann(x_i) equals (x_i), with per-degree dimension evidence.

@@ -32,8 +32,8 @@ from .errors import BoundTooSmall
 from .fields import QQ
 from .groebner import squares_ideal
 from .linalg import Echelon, compose, kernel_basis, sparse_rank
-from .poly import Polynomial, squared_variable_sum
-from .quotient import GradedModuleSpan, QuotientRing, annihilator
+from .poly import squared_variable_sum
+from .quotient import GradedModuleSpan, QuotientRing
 from .runmemo import _per_run
 
 
@@ -430,18 +430,6 @@ def syzygy_betti(base: QuotientRing, module: QuotientRing, max_i: int, max_j: in
 # ----------------------------------------------------------------------
 
 
-@_per_run
-def gorenstein_presentation(n: int, field) -> tuple[QuotientRing, list[Polynomial]]:
-    """The ring P = Q/(squares) and the generators of G = (squares) : h^2.
-
-    G is the preimage in Q of ann_P(h^2): the squares, then the lifts of the
-    annihilator's minimal generators.  The lifts are normal forms in P, so
-    they are exactly the generators that do not vanish there.
-    """
-    P = named_quotient("P", n, field)
-    return P, annihilator(P, squared_variable_sum(n, field))
-
-
 def lifting_identity_check(n: int, field=None) -> bool:
     """For odd n: the Betti numbers over Q are the T-table plus its (1,2) shift.
 
@@ -470,8 +458,7 @@ def duality_check(n: int, field=None) -> bool:
     """beta_{i,j}(G/J) = beta_{n-i,2n-j}(R) entrywise, both sides computed.
 
     G/J is ann_P(h^2), the ideal of ``named_quotient("A")``: the
-    ``GradedModuleSpan`` that the colon of ``gorenstein_presentation`` grew
-    in P.
+    ``GradedModuleSpan`` that ``P.colon(h^2)`` grew.
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
@@ -490,8 +477,9 @@ def named_quotient(label: str, n: int, field, degree_cap: int | None = None) -> 
     P is Q modulo the squares J = (x_i^2).  R and A are P modulo a graded
     ideal of P, so both share P's column and base tables (and, in one run
     scope, P itself): R = P/(h^2), and A = P/ann_P(h^2) = Q/G with
-    G = J : h^2, the ideal being the module that the colon of
-    ``gorenstein_presentation`` grew in P.
+    G = J : h^2, the ideal being the module ``P.colon(h^2)``.  So A's
+    generators are the squares, then the colon's minimal lifts: G's
+    colon presentation.
     """
     if label == "P":
         return QuotientRing(squares_ideal(n, field), degree_cap=degree_cap, name="P")
@@ -499,6 +487,6 @@ def named_quotient(label: str, n: int, field, degree_cap: int | None = None) -> 
         ideal = GradedModuleSpan(named_quotient("P", n, field), [squared_variable_sum(n, field)])
         return QuotientRing(ideal=ideal, degree_cap=degree_cap, name="R")
     if label == "A":
-        P, _ = gorenstein_presentation(n, field)
-        return QuotientRing(ideal=P._colons[squared_variable_sum(n, field)], degree_cap=degree_cap, name="A")
+        ideal = named_quotient("P", n, field).colon(squared_variable_sum(n, field))
+        return QuotientRing(ideal=ideal, degree_cap=degree_cap, name="A")
     raise ValueError(f"unknown quotient label {label!r}")

@@ -3,9 +3,9 @@
 ``_run_scope()`` opens an empty dict in a context variable and drops it on
 exit.  A function decorated with ``_per_run`` looks its result up there
 while a scope is open, keyed by the function and its arguments, and is
-called plainly outside one.  So the rings, presentations and Betti tables
-that several checks of one run share are built once, and nothing they hold
-outlives the run.
+called plainly outside one.  So the rings, generator lists and Betti
+tables that several checks of one run share are built once, and nothing
+they hold outlives the run.
 
 Arguments are part of the key as they are: labels, n, fields and caps
 compare by value, and rings, which define no equality, by identity.  The

@@ -9,11 +9,12 @@ reduction/lifting across the hypersurface, duality, the sequence
 recursions, and the strong Lefschetz checks.
 
 One ``run_suite`` call builds what its checks share once: the rings P, R
-and A per n and field, the colon presentation of G, G's orbit and
-dual-form generators, and the Koszul table of a ring.  They live in a memo
-that the run opens and drops on return (``runmemo``).  The colon, orbit and
-dual routes to G stay three separate constructions, and each check still
-compares one route against another or against a closed formula.  A check's
+and A per n and field (A's generators are the colon presentation of G),
+G's orbit and dual-form generators, and the Koszul table of a ring.  They
+live in a memo that the run opens and drops on return (``runmemo``).  The
+colon, orbit and dual routes to G stay three separate constructions, and
+each check still compares one route against another or against a closed
+formula.  A check's
 ``runtime_ms`` leaves out what an earlier check of the same run built.
 """
 
@@ -38,7 +39,6 @@ from .groebner import groebner_basis, ideal_equal, is_groebner_basis
 from .resolution import (
     ci_resolution_betti,
     duality_check,
-    gorenstein_presentation,
     koszul_betti,
     lifting_identity_check,
     named_quotient,
@@ -154,9 +154,8 @@ def _check_socle_R(n: int, field):
 
 
 def _check_socle_gens(n: int, field):
-    P, gens = gorenstein_presentation(n, field)
     want = catalan(ell(n) + 2)
-    degs = sorted(g.degree for g in gens if P.nf(g))
+    degs = sorted(g.degree for g in named_quotient("A", n, field).ideal.generators)
     expected = [ell(n) + 1] * want
     return f"{want} generators in degree {ell(n) + 1}", str(degs), degs == expected
 
@@ -186,7 +185,7 @@ def _check_lifting(n: int, field):
 
 
 def _check_three_way(n: int, field):
-    _, colon = gorenstein_presentation(n, field)
+    colon = named_quotient("A", n, field).generators
     orbit = G_from_orbit(n, field)
     dual = ann_of_form(n, field)
     ok = ideal_equal(colon, orbit, dual)

@@ -36,7 +36,6 @@ from aciring import (
 from aciring.errors import DegreeCapExceeded, DimensionMismatch, FieldMismatch
 from aciring.linalg import kernel_basis, rank
 from aciring.quotient import GradedModuleSpan
-from aciring.resolution import gorenstein_presentation
 from aciring.runmemo import _run_scope
 
 from _oracle import hilbert_function_slow
@@ -124,8 +123,8 @@ def test_polynomials_of_another_ring_are_refused():
 
 
 def test_a_variable_index_outside_the_ring_is_refused():
-    P, gens = gorenstein_presentation(4, QQ)
-    module = GradedModuleSpan(P, [g for g in gens if P.nf(g)], name="G/J")
+    colon = named_quotient("A", 4, QQ).ideal
+    P, module = colon.ambient, GradedModuleSpan(colon.ambient, colon.generators, name="G/J")
     for i in (-1, 4):
         for call in (
             lambda: P.variable_map(i, 1),
@@ -227,8 +226,8 @@ def test_mult_map_columns_are_normal_forms():
                             image = q.to_vector(q.nf(f.mul(Polynomial.monomial(n, field, m))), d + f.degree)
                             assert column == [(r, c) for r, c in enumerate(image) if c], (label, n, str(f), d, m)
     # G/J inside P: the columns are coordinates in the echelon basis one degree up
-    P, gens = gorenstein_presentation(4, QQ)
-    module = GradedModuleSpan(P, [g for g in gens if P.nf(g)], name="G/J")
+    colon = named_quotient("A", 4, QQ).ideal
+    P, module = colon.ambient, GradedModuleSpan(colon.ambient, colon.generators, name="G/J")
     for d in range(module.socle_degree()):
         above = module.basis_vectors(d + 1)
         for i in range(4):
@@ -308,7 +307,7 @@ def test_colon_generators_n3_n4_are_frozen():
         4: ["x1*x2 - x1*x3", "x1*x3 - x2*x3", "x2*x3 - x1*x4", "x1*x4 - x2*x4", "x2*x4 - x3*x4"],
     }
     for n, lifts in expected.items():
-        _, gens = gorenstein_presentation(n, QQ)
+        gens = named_quotient("A", n, QQ).generators
         assert [str(g) for g in gens] == [f"x{i + 1}^2" for i in range(n)] + lifts
 
 
@@ -527,14 +526,15 @@ def test_rational_coefficients_are_ints_unless_the_denominator_exceeds_one():
 @pytest.mark.parametrize("field,top", [(GF(32003), 8), (QQ, 6)], ids=str)
 def test_a_from_the_colon_equals_a_built_from_its_generators(field, top):
     # named_quotient("A") is P modulo the colon's module; rebuilding A from
-    # the lifted generators must give the same bases and variable maps, so
-    # the lifts generate the whole kernel.  At n = 2 the lifts are the
-    # monomials x1, x2, which the rebuilt ring takes into its base, so only
-    # from n = 3 on are the forms themselves the same
+    # the generators of a colon grown on a separate P must give the same
+    # bases and variable maps, so the lifts generate the whole kernel.  At
+    # n = 2 the lifts are the monomials x1, x2, which the rebuilt ring takes
+    # into its base, so only from n = 3 on are the forms themselves the same
     for n in range(2, top + 1):
         with _run_scope():
             A = named_quotient("A", n, field)
-            P, gens = gorenstein_presentation(n, field)
+            P = named_quotient("P", n, field)
+        gens = annihilator(QuotientRing(squares_ideal(n, field)), squared_variable_sum(n, field))
         rebuilt = QuotientRing(gens, name="A")
         assert A.generators == rebuilt.generators
         assert A.ideal.ambient is P and A._columns is P._columns, n
@@ -557,7 +557,7 @@ def test_the_colon_module_is_the_span_of_its_lifts(field):
         P = QuotientRing(squares_ideal(n, field))
         h2 = squared_variable_sum(n, field)
         lifts = P.annihilator_of_element(h2)
-        module = P._colons[h2]
+        module = P.colon(h2)
         assert module.generators == tuple(lifts)
         grown = GradedModuleSpan(P, lifts)
         for d in range(P.socle_degree() + 2):
@@ -578,16 +578,20 @@ def test_a_ring_modulo_an_ideal_refuses_generators_and_an_ideal_of_a_ring_with_r
         QuotientRing(ideal=GradedModuleSpan(R, [var(3, 0)]))
 
 
-def test_a_colon_cut_short_is_not_kept():
-    # only a colon grown through a degree where P vanishes is kept for A
-    n = 5
-    h2 = squared_variable_sum(n, QQ)
-    short = QuotientRing(squares_ideal(n, QQ))
-    short.annihilator_of_element(h2, through_degree=2)
-    assert h2 not in short._colons
-    whole = QuotientRing(squares_ideal(n, QQ))
-    whole.annihilator_of_element(h2, through_degree=n + 1)
-    assert h2 in whole._colons
+def test_a_colon_cut_short_has_the_generators_through_its_degree():
+    # the lifts of degree <= 2 at n = 3, 4, 5 (linear, quadrics, quadrics)
+    # and none at n = 7 (cubics); a degree past the socle degree is the
+    # whole colon
+    for n in (3, 4, 5, 7):
+        P = QuotientRing(squares_ideal(n, QQ))
+        h2 = squared_variable_sum(n, QQ)
+        whole = P.colon(h2)
+        short = P.colon(h2, 2)
+        assert short.generators == tuple(g for g in whole.generators if g.degree <= 2), n
+        for d in range(3):
+            assert short._span(d).rows == whole._span(d).rows, (n, d)
+        assert P.colon(h2, n + 1).generators == whole.generators, n
+    assert len(whole.generators) == 14 and not short.generators
 
 
 def test_r_and_a_of_one_run_are_rings_modulo_the_same_p():
@@ -599,7 +603,7 @@ def test_r_and_a_of_one_run_are_rings_modulo_the_same_p():
 
 def test_a_from_the_colon_keeps_its_degree_cap():
     # A at n = 5 is [1, 5, 5, 1]; its Gröbner basis is complete from degree 3
-    _, gens = gorenstein_presentation(5, QQ)
+    gens = named_quotient("A", 5, QQ).generators
     for cap in range(5):
         A = named_quotient("A", 5, QQ, degree_cap=cap)
         rebuilt = QuotientRing(gens, degree_cap=cap)
@@ -672,9 +676,9 @@ def test_primed_rings_match_macaulay_oracle_through_their_caps(field):
 def test_gj_span_matches_macaulay_oracle(field):
     # dim (J + gens)/J in degree d is h_J(d) - h_{J + gens}(d)
     for n in range(2, 6):
-        P, gens = gorenstein_presentation(n, field)
-        lifts = [g for g in gens if P.nf(g)]
-        span = GradedModuleSpan(P, lifts, name="G/J")
+        A = named_quotient("A", n, field)
+        P, gens = A.ideal.ambient, A.generators
+        span = GradedModuleSpan(P, A.ideal.generators, name="G/J")
         top = P.socle_degree() + 1
         assert [span.hilbert_function(d) for d in range(top + 1)] == [
             a - b for a, b in zip(_oracle_values(P.generators, n, field, top), _oracle_values(gens, n, field, top))

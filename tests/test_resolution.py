@@ -145,11 +145,11 @@ def read_slices(module, U, max_i: int, max_j: int) -> set:
 def modules_up_to_six(field):
     """P, R, A and G/J at n = 2..6 over the field."""
     for n in range(2, 7):
-        P, gens = resolution.gorenstein_presentation(n, field)
+        A = named_quotient("A", n, field)
         yield named_quotient("P", n, field)
         yield named_quotient("R", n, field)
-        yield named_quotient("A", n, field)
-        yield GradedModuleSpan(P, [g for g in gens if P.nf(g)], name="G/J")
+        yield A
+        yield GradedModuleSpan(A.ideal.ambient, A.ideal.generators, name="G/J")
 
 
 def bases_and_windows(module) -> list:
@@ -208,8 +208,7 @@ def test_rank_calls_of_the_koszul_route(monkeypatch):
     # the table reads anyway, also where the window cuts an endless complex
     R = named_quotient("R", 6, QQ)
     assert R.socle_dimensions() == [0, 0, 0, 14]
-    P, gens = resolution.gorenstein_presentation(6, QQ)
-    gj = GradedModuleSpan(P, [g for g in gens if P.nf(g)], name="G/J")
+    gj = GradedModuleSpan(A.ideal.ambient, A.ideal.generators, name="G/J")
     counts = []
     for module in (R, xy_ring(), gj):
         n, top = module.n, module.socle_degree()

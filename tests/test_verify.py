@@ -8,12 +8,12 @@ from contextlib import contextmanager
 
 import pytest
 
-from aciring import resolution, runmemo, verify
+from aciring import runmemo, verify
 from aciring.errors import DegreeCapExceeded
 from aciring.fields import QQ
 from aciring.gorenstein import G_from_orbit, ann_of_form
 from aciring.quotient import QuotientRing
-from aciring.resolution import BettiTable, gorenstein_presentation, koszul_betti, named_quotient
+from aciring.resolution import BettiTable, koszul_betti, named_quotient
 from aciring.verify import run_suite
 
 
@@ -59,23 +59,24 @@ def test_run_suite_builds_each_named_ring_and_presentation_once(monkeypatch):
             named[(self.name, self.n, self.field.characteristic)] += 1
 
     colons = Counter()
-    colon = resolution.annihilator
+    colon = QuotientRing.colon
 
-    def counting_colon(P, f, *args):
-        colons[P.n] += 1
-        return colon(P, f, *args)
+    def counting_colon(self, f, *args):
+        colons[self.n] += 1
+        return colon(self, f, *args)
 
     monkeypatch.setattr(QuotientRing, "__init__", counting_init)
-    monkeypatch.setattr(resolution, "annihilator", counting_colon)
+    monkeypatch.setattr(QuotientRing, "colon", counting_colon)
     assert run_suite("all", list(range(2, 8))).passed
     assert named == {(label, n, 0): 1 for label in "PRA" for n in range(2, 8)}
     assert colons == {n: 1 for n in range(2, 8)}
-    # the 18 named rings, one ring per route to G per n (the three-way check's
-    # cycle of memberships), and one for groebner_basis per n; _lefschetz_by_ranks
-    # takes the named A.  R and A are the named P modulo an ideal of it; each
-    # ring built from generators with relations also builds Q/B, the ring on
-    # its base, to grow its forms in: the three route rings and the
-    # groebner_basis ring at n = 3..7 (at n = 2 their generators are all
+    # the 18 named rings, 3 * 6; one ring per route to G per n (the three-way
+    # check's cycle of memberships), 3 * 6 = 18; and one for groebner_basis per
+    # n, 6.  _lefschetz_by_ranks takes the named A.  R and A are the named P
+    # modulo an ideal of it, and A's ideal, the colon, is a module of P and no
+    # ring.  Each ring built from generators with relations also builds Q/B,
+    # the ring on its base, to grow its forms in: the three route rings and
+    # the groebner_basis ring at n = 3..7 (at n = 2 their generators are all
     # monomials), 4 * 5 = 20
     assert len(built) == 18 + 18 + 6 + 20
     # nothing built inside the run outlives it
@@ -119,7 +120,7 @@ def test_run_suite_leaves_its_shared_results_as_built(monkeypatch):
     so no check edited a list or a table that the others read."""
     public = {
         f.__wrapped__: f
-        for f in (gorenstein_presentation, G_from_orbit, ann_of_form, koszul_betti)
+        for f in (named_quotient, G_from_orbit, ann_of_form, koszul_betti)
     }
     seen: dict = {}
     scope = verify._run_scope

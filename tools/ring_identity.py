@@ -5,11 +5,12 @@ n = 2..7 over QQ, in each of two checkouts of this repository, and digests
 per ring: its generators, and in every degree from 0 to one past the socle
 degree its echelon form (rows and pivots), its standard monomial basis and
 its variable maps.  On the same grid it digests G/J, grown as
-``GradedModuleSpan(P, lifts)`` from the lifts of ``gorenstein_presentation``:
-in every degree from 0 to one past P's socle degree its echelon basis (rows
-and pivots) and its variable maps.  Each digest hashes the ``repr`` of those
-values, so a value of another type (an ``np.int64`` for an int, an integral
-``Fraction`` for an int) is a difference too.
+``GradedModuleSpan(P, lifts)`` from the lifts of A's colon, the generators
+of ``named_quotient("A", n, field).ideal``: in every degree from 0 to one
+past P's socle degree its echelon basis (rows and pivots) and its variable
+maps.  Each digest hashes the ``repr`` of those values, so a value of
+another type (an ``np.int64`` for an int, an integral ``Fraction`` for an
+int) is a difference too.
 
     python tools/ring_identity.py OLD_TREE NEW_TREE
 
@@ -62,7 +63,7 @@ def digests() -> dict[str, str]:
     """Every case's digest, keyed ring-n-field, from the ``aciring`` on the path."""
     from aciring import GF, QQ
     from aciring.quotient import GradedModuleSpan
-    from aciring.resolution import gorenstein_presentation, named_quotient
+    from aciring.resolution import named_quotient
 
     out = {}
     for p, ns in CASES:
@@ -70,8 +71,8 @@ def digests() -> dict[str, str]:
         for n in ns:
             for ring in RINGS:
                 out[f"{ring}-n{n}-{field}"] = ring_digest(named_quotient(ring, n, field))
-            P, gens = gorenstein_presentation(n, field)
-            out[f"G/J-n{n}-{field}"] = module_digest(GradedModuleSpan(P, [g for g in gens if P.nf(g)]))
+            colon = named_quotient("A", n, field).ideal
+            out[f"G/J-n{n}-{field}"] = module_digest(GradedModuleSpan(colon.ambient, colon.generators))
     return out
 
 
